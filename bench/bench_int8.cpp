@@ -9,10 +9,13 @@
 // (GFLOPS counts the same 2*m*n*k multiply-adds on both paths; the int8
 // "FLOPs" are integer MACs — vpdpbusd on VNNI hardware.)
 //
-// Acceptance (ISSUE 9): eff_bw >= 3x at 1024^3 serial, fused integer-ABFT
-// overhead <= 6%, and zero verification false positives across the sweep
-// at tolerance 0 — the `falsepos` column is the running errors_detected
-// total of every timed FT repetition and must read 0 on every row.
+// Acceptance: eff_bw >= 3x at 1024^3 serial, fused integer-ABFT overhead
+// <= 6%, and zero verification false positives across the sweep at
+// tolerance 0 — the `falsepos` column is the running errors_detected total
+// of every timed FT repetition (cold and resident) and must read 0 on every
+// row.  `i8res_GF` is the same FT call on a resident A (Options::
+// resident_a: packed and encoded once, verified on every hit); a hit skips
+// pack_a and must be at least as fast as the cold FT call.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,16 +59,20 @@ int main() {
       "int8 storage + integer checksums vs fp32: serial square GEMM "
       "(median GFLOPS)",
       "DESIGN.md section 11 (int8 quantization; bytes-per-GFLOP basis)",
-      {"f32_GF", "i8_GF", "i8ft_GF", "eff_bw", "ft_ovh_%", "falsepos"});
+      {"f32_GF", "i8_GF", "i8ft_GF", "i8res_GF", "eff_bw", "ft_ovh_%",
+       "falsepos"});
 
   GemmEngine<float> f32_engine;
   f32_engine.options().threads = 1;
   GemmEngineI8 i8_engine;
   i8_engine.options().threads = 1;
+  GemmEngineI8 res_engine;
+  res_engine.options().threads = 1;
+  res_engine.options().resident_a = true;
   const QuantParams qp{0.05f, 0.05f, 3, -5};
 
   std::int64_t false_positives = 0;
-  for (const index_t n : square_sizes(256)) {
+  for (const index_t n : square_sizes(128)) {
     SquareWorkload<float> wf(n);
     I8Workload wi(n);
 
@@ -85,13 +92,20 @@ int main() {
           wi.a.data(), n, wi.b.data(), n, 0.0f, wi.c.data(), n, qp);
       false_positives += rep.errors_detected;
     });
+    // The warm-up call is the miss that makes A resident; timed calls hit.
+    const double i8_res_gf = median_gflops(n, n, n, reps, [&] {
+      const FtReport rep = res_engine.ft_gemm(
+          Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0f,
+          wi.a.data(), n, wi.b.data(), n, 0.0f, wi.c.data(), n, qp);
+      false_positives += rep.errors_detected;
+    });
 
     const double eff_bw = f32_gf > 0 ? 4.0 * i8_gf / f32_gf : 0.0;
     const double ft_ovh =
         i8_gf > 0 ? 100.0 * (i8_gf - i8_ft_gf) / i8_gf : 0.0;
-    std::printf("%-8lld%14.2f%14.2f%14.2f%14.2f%14.2f%14lld\n",
-                static_cast<long long>(n), f32_gf, i8_gf, i8_ft_gf, eff_bw,
-                ft_ovh, static_cast<long long>(false_positives));
+    std::printf("%-8lld%14.2f%14.2f%14.2f%14.2f%14.2f%14.2f%14lld\n",
+                static_cast<long long>(n), f32_gf, i8_gf, i8_ft_gf, i8_res_gf,
+                eff_bw, ft_ovh, static_cast<long long>(false_positives));
     std::fflush(stdout);
   }
   return 0;

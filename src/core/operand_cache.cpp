@@ -78,8 +78,10 @@ OperandKey make_operand_key(const S* a, index_t lda, bool trans, C alpha,
 /// CHECK_BEFORE comparison below is a bit-exact memcmp, no tolerance model.
 /// The zero padding of the ragged edge tile participates: a flip landing in
 /// padding is caught too (it would feed the micro-kernels just the same).
+/// `pk` is the plan's pack set (the int8 specialization sweeps with it).
 template <typename S, typename C>
-void integrity_sums(const ResidentAPayload<S, C>& pl, C* rowchk, C* colchk) {
+void integrity_sums(const ResidentAPayload<S, C>& pl,
+                    const PackSet<S, C>& /*pk*/, C* rowchk, C* colchk) {
   std::fill(rowchk, rowchk + pl.tiles * pl.mr, C(0));
   std::fill(colchk, colchk + pl.k, C(0));
   for (index_t p = 0; p < pl.k; p += pl.kc) {
@@ -127,14 +129,15 @@ void integrity_sums(const ResidentAPayload<S, C>& pl, C* rowchk, C* colchk) {
 /// is thread-local: this runs on every verified hit, and the serving hot
 /// loop must not pay a heap allocation per call.
 template <typename S, typename C>
-bool verify_payload(const ResidentAPayload<S, C>& pl) {
+bool verify_payload(const ResidentAPayload<S, C>& pl,
+                    const PackSet<S, C>& pk) {
   thread_local std::vector<C> scratch;
   const std::size_t rlen = std::size_t(pl.tiles * pl.mr);
   const std::size_t clen = std::size_t(pl.k);
   if (scratch.size() < rlen + clen) scratch.resize(rlen + clen);
   C* rowchk = scratch.data();
   C* colchk = scratch.data() + rlen;
-  integrity_sums(pl, rowchk, colchk);
+  integrity_sums(pl, pk, rowchk, colchk);
   return std::memcmp(rowchk, pl.rowchk.data(), rlen * sizeof(C)) == 0 &&
          std::memcmp(colchk, pl.colchk.data(), clen * sizeof(C)) == 0;
 }
@@ -202,14 +205,15 @@ void fill_payload(ResidentAPayload<S, C>& pl, const S* a, index_t lda,
   }
   pl.amax_a = amax;
 
-  integrity_sums(pl, pl.rowchk.data(), pl.colchk.data());
+  integrity_sums(pl, pk, pl.rowchk.data(), pl.colchk.data());
 }
 
 /// int8 payloads break both generic encoders' assumptions — panels hold
 /// *biased u8 bytes* in the depth-quad layout (kernels/kernel_int8.hpp), not
 /// ComputeT elements in [kk][mr] order, and the last panel is quad-padded
 /// beyond tiles*mr*k bytes when k % 4 != 0 — so they get their own
-/// specializations.  The integrity row sums ARE the executor's arow vector
+/// specializations, and the per-panel sums run as the pack set's
+/// panel_sums sweep.  The integrity row sums ARE the executor's arow vector
 /// (per-packed-row u8 totals; quad padding is raw zero, contributing
 /// nothing), which is why the int8 hit path copies rowchk straight into
 /// ctx.arow() instead of re-deriving it.  Sums are exact integers: verify
@@ -218,31 +222,14 @@ void fill_payload(ResidentAPayload<S, C>& pl, const S* a, index_t lda,
 template <>
 void integrity_sums<std::int8_t, std::int32_t>(
     const ResidentAPayload<std::int8_t, std::int32_t>& pl,
-    std::int32_t* rowchk, std::int32_t* colchk) {
+    const PackSet<std::int8_t, std::int32_t>& pk, std::int32_t* rowchk,
+    std::int32_t* colchk) {
   std::fill(rowchk, rowchk + pl.tiles * pl.mr, std::int32_t(0));
   std::fill(colchk, colchk + pl.k, std::int32_t(0));
   for (index_t p = 0; p < pl.k; p += pl.kc) {
     const index_t pinc = std::min(pl.kc, pl.k - p);
-    const auto* base = reinterpret_cast<const std::uint8_t*>(pl.panel_at(p));
-    const index_t tile_bytes = i8_tile_bytes(pinc, pl.mr);
-    const index_t kq = i8_kq(pinc);
-    for (index_t q = 0; q < pl.tiles; ++q) {
-      const std::uint8_t* tile = base + q * tile_bytes;
-      std::int32_t* rc = rowchk + q * pl.mr;
-      for (index_t kk4 = 0; kk4 < kq; ++kk4) {
-        const std::uint8_t* quad = tile + kk4 * pl.mr * kI8KQuad;
-        for (index_t i = 0; i < pl.mr; ++i) {
-          for (index_t u = 0; u < kI8KQuad; ++u) {
-            const std::int32_t v = quad[i * kI8KQuad + u];
-            rc[i] += v;
-            // Quad-padding depths have no colchk index; a flip there is
-            // still caught by the row sum above.
-            const index_t kk = kk4 * kI8KQuad + u;
-            if (kk < pinc) colchk[p + kk] += v;
-          }
-        }
-      }
-    }
+    pk.panel_sums(reinterpret_cast<const std::uint8_t*>(pl.panel_at(p)),
+                  pl.tiles, pinc, pl.mr, rowchk, colchk + p);
   }
 }
 
@@ -294,7 +281,7 @@ void fill_payload<std::int8_t, std::int32_t>(
   pk.encode_ar(av, 0, m, 0, k, pl.ar.data());
   pl.amax_a = 0.0;  // exact path: no tolerance model, no amax
 
-  integrity_sums(pl, pl.rowchk.data(), pl.colchk.data());
+  integrity_sums(pl, pk, pl.rowchk.data(), pl.colchk.data());
 }
 
 /// SEC-DED parity over the packed panel bytes (allocation-accurate: int8
@@ -449,7 +436,8 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
       ++verifies_;
     }
     const bool ok =
-        !ecc_uncorrectable && (!verify || verify_payload(*payload));
+        !ecc_uncorrectable &&
+        (!verify || verify_payload(*payload, plan.kernels.pack));
     if (!ok) {
       // Memory fault detected: re-encode from the source and swap the
       // healed payload into the slot (self-healing).  The heal restores

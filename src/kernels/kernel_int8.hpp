@@ -23,8 +23,11 @@
 //
 // zero-padded in every direction (a zero B pad makes the corresponding A
 // pad bytes irrelevant: every padded product is 0).  Shared layout means
-// the packers are ISA-independent and FTGEMM_FORCE_ISA switches kernels
-// without changing a single packed byte.
+// FTGEMM_FORCE_ISA switches kernels without changing a single packed byte.
+// Sixteen contiguous bytes of a tile — 4 rows (A~) or columns (B~) x one
+// depth quad — form a *group*, the unit every SIMD pack/encode pass of
+// pack_int8_avx2.cpp sweeps; kernel_int8_scalar.cpp holds the portable
+// reference of each pass, and the two are bit-identical member by member.
 //
 // The AVX2 kernel emulates the integer dot with zero/sign-extension to i16
 // and `pmaddwd` — NOT `pmaddubsw`, whose i16 pair-sum saturates (2 * 255 *
@@ -78,11 +81,11 @@ using I8MicroKernelFt = void (*)(index_t kc, const std::uint8_t* a,
                                  std::int64_t* cc_ref);
 
 /// Pack/encode family of the int8 path (full specialization — see the file
-/// header for why the generic members don't fit).  The reference members
-/// are portable scalar implementations in the flag-free
-/// kernel_int8_scalar.cpp; pack_int8_avx2.cpp swaps in AVX2 FT checksum
-/// passes over the same shared packed layout (bit-identical output), and
-/// the layout itself makes every member correct for every kernel ISA.
+/// header for why the generic members don't fit).  scalar_pack_i8() holds
+/// the portable reference of every member (kernel_int8_scalar.cpp);
+/// avx2_pack_i8() replaces each with a vector sweep over the same packed
+/// layout (pack_int8_avx2.cpp) — identical bytes and bit-identical sums, so
+/// every member is correct for every kernel ISA.
 template <>
 struct PackSet<std::int8_t, std::int32_t> {
   /// Pack op(A) rows [m0, m0+mlen) x depth [k0, k0+klen) into MR-tall
@@ -131,6 +134,13 @@ struct PackSet<std::int8_t, std::int32_t> {
   void (*encode_cc)(const std::uint8_t* packed, index_t mlen, index_t klen,
                     index_t mr, const std::int32_t* bc,
                     std::int64_t* cc) = nullptr;
+  /// Integrity sums of one packed A~ panel of `tiles` MR-tall tiles over
+  /// depth klen (the resident encode and verify-on-hit): rowsum[i] += every
+  /// byte of packed row i, quad padding included; colsum[kk] += depth kk's
+  /// byte of every packed row, padding rows included, for kk < klen.
+  void (*panel_sums)(const std::uint8_t* packed, index_t tiles, index_t klen,
+                     index_t mr, std::int32_t* rowsum,
+                     std::int32_t* colsum) = nullptr;
   Isa isa = Isa::kScalar;
 };
 
@@ -156,11 +166,10 @@ KernelSet<std::int8_t, std::int32_t> scalar_kernels_i8();
 KernelSet<std::int8_t, std::int32_t> avx2_kernels_i8();
 KernelSet<std::int8_t, std::int32_t> avx512_kernels_i8();
 PackSet<std::int8_t, std::int32_t> scalar_pack_i8();
-/// scalar_pack_i8 with the FT checksum passes (pack_a_ft / pack_b_ft /
-/// encode_ar / reduce_bc) replaced by AVX2 sweeps — identical packed bytes
-/// and bit-identical checksums (exact integer sums are order-independent);
-/// see pack_int8_avx2.cpp.  Only reachable through the AVX2/AVX-512 kernel
-/// sets, so the AVX2 encodings are gated by the same runtime dispatch.
+/// Every scalar_pack_i8 member as an AVX2 sweep (see pack_int8_avx2.cpp):
+/// identical packed bytes and bit-identical sums.  Only reachable through
+/// the AVX2/AVX-512 kernel sets, so the AVX2 encodings are gated by the
+/// same runtime dispatch.
 PackSet<std::int8_t, std::int32_t> avx2_pack_i8();
 
 template <>

@@ -10,8 +10,8 @@
 // is a full i32 add: |p0 + p1| <= 65280 never wraps.
 //
 // Operands arrive in the shared quad-grouped layout of kernel_int8.hpp
-// (packed by the portable packers in kernel_int8_scalar.cpp); this TU only
-// contains kernels.  Compiled with -mavx2 -mfma like the other AVX2 TUs;
+// (packed by the AVX2 sweeps of pack_int8_avx2.cpp); this TU only contains
+// kernels.  Compiled with -mavx2 -mfma like the other AVX2 TUs;
 // reached only through runtime dispatch (select_isa).
 #include <immintrin.h>
 

@@ -4,11 +4,11 @@
 // routines here are the fallback executed on machines without AVX2, so they
 // must never contain AVX encodings.  The packers here are the reference
 // implementations of the single shared packed byte layout (see
-// kernels/kernel_int8.hpp); pack_int8_avx2.cpp accelerates the FT checksum
-// passes but delegates every byte movement back here, so switching kernels
-// via FTGEMM_FORCE_ISA never changes a packed byte, a checksum, or a
-// result: the whole path is exact integer arithmetic, bit-identical across
-// ISAs by construction.
+// kernels/kernel_int8.hpp) and the FTGEMM_FORCE_ISA=scalar semantics;
+// pack_int8_avx2.cpp replaces every member with a vector sweep that writes
+// the same bytes and the same sums, so switching kernels never changes a
+// packed byte, a checksum, or a result: the whole path is exact integer
+// arithmetic, bit-identical across ISAs by construction.
 //
 // This TU also owns the int8 get_kernel_set/get_pack_set dispatch: the
 // generic dispatcher in kernel_scalar.cpp routes mixed pairs through the
@@ -234,6 +234,29 @@ void encode_cc_i8(const std::uint8_t* packed, index_t mlen, index_t klen,
   }
 }
 
+// Integrity sums of one packed A~ panel (resident encode and verify).
+// Padding rows and quad-padding depths are zero in a clean panel; a flip in
+// either still lands in the row sums (and, for padding rows, in colsum).
+void panel_sums_i8(const std::uint8_t* packed, index_t tiles, index_t klen,
+                   index_t mr, std::int32_t* rowsum, std::int32_t* colsum) {
+  const index_t kq = i8_kq(klen);
+  for (index_t tl = 0; tl < tiles; ++tl) {
+    const std::uint8_t* tile = packed + tl * kq * kI8KQuad * mr;
+    std::int32_t* rs = rowsum + tl * mr;
+    for (index_t q = 0; q < kq; ++q) {
+      const std::uint8_t* quad = tile + q * mr * kI8KQuad;
+      for (index_t i = 0; i < mr; ++i) {
+        for (index_t t = 0; t < kI8KQuad; ++t) {
+          const std::int32_t v = quad[i * kI8KQuad + t];
+          rs[i] += v;
+          const index_t kk = q * kI8KQuad + t;
+          if (kk < klen) colsum[kk] += v;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 PackSet<std::int8_t, std::int32_t> scalar_pack_i8() {
@@ -245,6 +268,7 @@ PackSet<std::int8_t, std::int32_t> scalar_pack_i8() {
   p.reduce_bc = &reduce_bc_i8;
   p.encode_ar = &encode_ar_i8;
   p.encode_cc = &encode_cc_i8;
+  p.panel_sums = &panel_sums_i8;
   p.isa = Isa::kScalar;
   return p;
 }
@@ -263,9 +287,11 @@ KernelSet<std::int8_t, std::int32_t> scalar_kernels_i8() {
 
 template <>
 PackSet<std::int8_t, std::int32_t> get_pack_set<std::int8_t, std::int32_t>(
-    Isa /*isa*/) {
-  // One packed layout, one (portable) packer family for every kernel ISA.
-  return scalar_pack_i8();
+    Isa isa) {
+  // The packer family the executor runs for `isa`: one packed layout, so
+  // any member would be correct, but callers timing or testing a packer
+  // must get the one get_kernel_set hands the executor.
+  return get_kernel_set<std::int8_t, std::int32_t>(isa).pack;
 }
 
 template <>

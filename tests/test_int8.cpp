@@ -13,10 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "core/context.hpp"
 #include "core/gemm_i8.hpp"
 #include "inject/injectors.hpp"
 #include "serve/service.hpp"
 #include "test_common.hpp"
+#include "util/env.hpp"
 
 namespace ftgemm {
 namespace {
@@ -452,6 +454,23 @@ TEST(Int8Ft, RandomInjectionCampaignBitExactWhenClean) {
   }
 }
 
+/// Flips one chosen bit of a resident payload on every hit it sees.
+class OneBitPayloadFlip final : public MemoryFaultInjector {
+ public:
+  OneBitPayloadFlip(std::size_t elem, int bit) : elem_(elem), bit_(bit) {}
+
+  void plan_flips(const MemoryStrikeContext& ctx,
+                  std::vector<PanelFlip>& out) override {
+    if (ctx.surface != MemorySurface::kResidentPanel) return;
+    out.push_back({elem_, bit_});
+    canonicalize_flips(ctx, out);
+  }
+
+ private:
+  std::size_t elem_;
+  int bit_;
+};
+
 /// Resident-operand cache on the int8 path: the warm hit serves the raw
 /// biased bytes and the rowchk side vector, and must be bit-identical to
 /// the cold call; a memory strike on the cached panels is healed before
@@ -524,6 +543,91 @@ TEST(Int8Resident, HitsAreBitIdenticalAndHealsFlips) {
   EXPECT_GE(heal.resident_heals + std::int64_t(heal.resident_ecc_corrected),
             1);
   expect_matrix_near(healed, want, 0.0, "healed hit" + seed_note(seed));
+
+  // One flipped bit in each class of payload byte is caught by the
+  // verify-on-hit and healed to exact bits: a live byte, a quad-padding
+  // depth byte (k % 4 != 0) and a padding row of the ragged last tile.
+  // ECC is off here so the integrity verify, not the syndrome sweep, must
+  // be what catches each flip.
+  {
+    const index_t m2 = 61, k2 = 254;
+    I8Problem p2(m2, n, k2, Trans::kNoTrans, Trans::kNoTrans, seed ^ 0x5EED);
+    Matrix<float> want2c = p2.c.clone();
+    ASSERT_TRUE(ft_gemm_i8(Layout::kColMajor, Trans::kNoTrans,
+                           Trans::kNoTrans, m2, n, k2, 1.5f, p2.a.data(),
+                           p2.a.ld(), p2.b.data(), p2.b.ld(), 0.5f,
+                           want2c.data(), want2c.ld(), qp)
+                    .clean());
+    auto& cache = process_context_cache<std::int8_t, std::int32_t>();
+    cache.operands().set_ecc(false);
+    const auto plan = cache.plan(Trans::kNoTrans, Trans::kNoTrans, m2, n, k2,
+                                 res, /*ft=*/true);
+    const index_t mr = plan->blocking.mr, kc = plan->blocking.kc;
+    const index_t tiles = (m2 + mr - 1) / mr;
+    ASSERT_NE(m2 % mr, 0) << "shape must leave padding rows";
+    // The last rank-KC panel holds the quad padding (kc is a quad
+    // multiple, so its depth leaves k2 % 4 = 2 live bytes per last quad).
+    const index_t p_last = ((k2 - 1) / kc) * kc, pinc = k2 - p_last;
+    const std::size_t last = std::size_t(tiles * mr * p_last);
+    const std::size_t last_quad =
+        last + std::size_t((i8_kq(pinc) - 1) * mr * kI8KQuad);
+    const std::size_t last_tile =
+        last + std::size_t((tiles - 1) * i8_tile_bytes(pinc, mr));
+    const struct {
+      const char* what;
+      std::size_t elem;
+    } strikes[] = {
+        {"live byte", std::size_t(mr * kI8KQuad + 4 + 1)},
+        {"quad-padding byte", last_quad + 3},
+        {"padding row", last_tile + std::size_t((mr - 1) * kI8KQuad)},
+    };
+    for (const auto& strike : strikes) {
+      SCOPED_TRACE(strike.what);
+      ASSERT_LT(strike.elem, std::size_t(tiles * mr * k2));
+      Matrix<float> got = p2.c.clone();
+      ft_gemm_i8(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, m2, n,
+                 k2, 1.5f, p2.a.data(), p2.a.ld(), p2.b.data(), p2.b.ld(),
+                 0.5f, got.data(), got.ld(), qp, res);  // miss or clean hit
+      OneBitPayloadFlip flip(strike.elem, 6);
+      Options struck = res;
+      struck.memory_injector = &flip;
+      got = p2.c.clone();
+      const FtReport r = ft_gemm_i8(Layout::kColMajor, Trans::kNoTrans,
+                                    Trans::kNoTrans, m2, n, k2, 1.5f,
+                                    p2.a.data(), p2.a.ld(), p2.b.data(),
+                                    p2.b.ld(), 0.5f, got.data(), got.ld(),
+                                    qp, struck);
+      EXPECT_TRUE(r.resident_hit);
+      EXPECT_EQ(flip.applied_count(), 1u);
+      EXPECT_EQ(r.resident_heals, 1) << "flip went undetected";
+      expect_matrix_near(got, want2c, 0.0, "healed" + seed_note(seed));
+    }
+    cache.operands().set_ecc(env_long("FTGEMM_OPERAND_ECC", 0) != 0);
+  }
+
+  // Transposed A with k % 4 != 0: the hit replays Cc and verifies over a
+  // quad-padded panel packed through the dword transpose.
+  {
+    const index_t m3 = 45, k3 = 203;
+    I8Problem p3(m3, n, k3, Trans::kTrans, Trans::kNoTrans, seed ^ 0x7A);
+    Matrix<float> cold3 = p3.c.clone();
+    ft_gemm_i8(Layout::kColMajor, Trans::kTrans, Trans::kNoTrans, m3, n, k3,
+               1.0f, p3.a.data(), p3.a.ld(), p3.b.data(), p3.b.ld(), 0.25f,
+               cold3.data(), cold3.ld(), qp);
+    for (int call = 0; call < 2; ++call) {
+      Matrix<float> got = p3.c.clone();
+      const FtReport r = ft_gemm_i8(Layout::kColMajor, Trans::kTrans,
+                                    Trans::kNoTrans, m3, n, k3, 1.0f,
+                                    p3.a.data(), p3.a.ld(), p3.b.data(),
+                                    p3.b.ld(), 0.25f, got.data(), got.ld(),
+                                    qp, res);
+      EXPECT_EQ(r.resident_hit, call == 1);
+      EXPECT_EQ(r.errors_detected, 0);
+      expect_matrix_near(got, cold3, 0.0,
+                         "transposed resident call " + std::to_string(call) +
+                             seed_note(seed));
+    }
+  }
 }
 
 TEST(Int8Resident, PrewarmHandleHitsFirstCall) {

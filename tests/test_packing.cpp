@@ -12,6 +12,7 @@
 #include "arch/cpu_features.hpp"
 #include "kernels/packing.hpp"
 #include "util/matrix.hpp"
+#include "util/rng.hpp"
 
 namespace ftgemm {
 namespace {
@@ -451,6 +452,224 @@ TEST(PackDispatch, F64MatchesScalarOracleAcrossIsas) {
 
 TEST(PackDispatch, F32MatchesScalarOracleAcrossIsas) {
   for (const Isa isa : executable_isas()) run_dispatch_sweep<float>(isa);
+}
+
+// ---------------------------------------------------------------------------
+// int8 pack/encode family: every PackSet<int8_t, int32_t> member of each
+// executable ISA against scalar_pack_i8, byte for byte and sum for sum
+// (exact integers — tolerance zero).  panel_sums is the whole of the
+// resident int8 integrity_sums (one call per rank-KC panel), so it is
+// checked here on arbitrary bytes, padding included.  Every buffer is sized
+// to the last element the call may touch, so a vector over-read or
+// over-write at an edge trips AddressSanitizer.
+// ---------------------------------------------------------------------------
+
+using I8PackSet = PackSet<std::int8_t, std::int32_t>;
+
+/// Exactly-sized column-major storage behind an int8 OperandView whose
+/// effective shape is rows x cols; fill 0 = random, 1 = all -128, 2 = all
+/// 127 (the lane extremes).
+struct ExactI8Operand {
+  std::vector<std::int8_t> data;
+  OperandView<std::int8_t> view{};
+
+  ExactI8Operand(index_t rows, index_t cols, bool trans, int fill,
+                 Xoshiro256& rng) {
+    const index_t srows = trans ? cols : rows;  // storage rows
+    const index_t scols = trans ? rows : cols;
+    const index_t ld = (srows + 3) | 1;  // odd leading dimension
+    data.resize(std::size_t((srows - 1) + (scols - 1) * ld + 1));
+    for (std::int8_t& v : data) {
+      v = fill == 1   ? std::int8_t(-128)
+          : fill == 2 ? std::int8_t(127)
+                      : std::int8_t(std::int32_t(rng.bounded(256)) - 128);
+    }
+    view = {data.data(), ld, trans};
+  }
+};
+
+/// Panel weights (bc / ar) of length klen: mode 0 small (each fits i16),
+/// 1 spread wide (split into two i16 halves), 2 at the 2^22 guard, 3 past
+/// it (the SIMD passes delegate).
+std::vector<std::int32_t> i8_weights(index_t klen, int mode, Xoshiro256& rng) {
+  std::vector<std::int32_t> w(static_cast<std::size_t>(klen));
+  const std::int32_t span = mode == 0 ? (1 << 8) : (1 << 20);
+  for (index_t kk = 0; kk < klen; ++kk) {
+    std::int32_t v =
+        std::int32_t(rng.bounded(std::uint64_t(2 * span + 1))) - span;
+    if (mode == 2) v = kk % 2 == 0 ? (1 << 22) - 1 : -((1 << 22) - 1);
+    w[std::size_t(kk)] = v;
+  }
+  if (mode == 3) w.back() = (1 << 22) + 3;
+  return w;
+}
+
+template <typename T>
+std::vector<T> random_sink(index_t n, Xoshiro256& rng) {
+  std::vector<T> v(static_cast<std::size_t>(n));
+  for (T& x : v) x = T(std::int32_t(rng.bounded(2001)) - 1000);
+  return v;
+}
+
+void check_i8_members(const I8PackSet& ref, const I8PackSet& simd, bool trans,
+                      index_t tile, index_t len, index_t klen, int fill,
+                      int wmode, Xoshiro256& rng) {
+  const index_t m0 = 3, k0 = 5, j0 = 2;
+  const index_t tiles = (len + tile - 1) / tile;
+  const std::size_t panel = std::size_t(tiles * i8_tile_bytes(klen, tile));
+  const std::vector<std::int32_t> w = i8_weights(klen, wmode, rng);
+
+  // A side: op(A) rows [m0, m0+len) x depth [k0, k0+klen).
+  const ExactI8Operand a(m0 + len, k0 + klen, trans, fill, rng);
+  for (const bool with_arow : {true, false}) {
+    std::vector<std::uint8_t> want(panel, 0xCD), got(panel, 0xCD);
+    std::vector<std::int32_t> arow_want =
+        random_sink<std::int32_t>(m0 + len, rng);
+    std::vector<std::int32_t> arow_got = arow_want;
+    ref.pack_a(a.view, m0, k0, len, klen, tile, want.data(),
+               with_arow ? arow_want.data() : nullptr);
+    simd.pack_a(a.view, m0, k0, len, klen, tile, got.data(),
+                with_arow ? arow_got.data() : nullptr);
+    EXPECT_EQ(got, want) << "pack_a bytes";
+    EXPECT_EQ(arow_got, arow_want) << "pack_a arow";
+  }
+  std::vector<std::uint8_t> apanel(panel, 0xCD), apanel_got(panel, 0xCD);
+  {
+    std::vector<std::int32_t> arow_want =
+        random_sink<std::int32_t>(m0 + len, rng);
+    std::vector<std::int32_t> arow_got = arow_want;
+    std::vector<std::int64_t> cc_want =
+        random_sink<std::int64_t>(m0 + len, rng);
+    std::vector<std::int64_t> cc_got = cc_want;
+    ref.pack_a_ft(a.view, m0, k0, len, klen, tile, apanel.data(),
+                  arow_want.data(), w.data(), cc_want.data());
+    simd.pack_a_ft(a.view, m0, k0, len, klen, tile, apanel_got.data(),
+                   arow_got.data(), w.data(), cc_got.data());
+    EXPECT_EQ(apanel_got, apanel) << "pack_a_ft bytes";
+    EXPECT_EQ(arow_got, arow_want) << "pack_a_ft arow";
+    EXPECT_EQ(cc_got, cc_want) << "pack_a_ft cc";
+  }
+  {
+    std::vector<std::int32_t> ar_want = random_sink<std::int32_t>(klen, rng);
+    std::vector<std::int32_t> ar_got = ar_want;
+    ref.encode_ar(a.view, m0, len, k0, klen, ar_want.data());
+    simd.encode_ar(a.view, m0, len, k0, klen, ar_got.data());
+    EXPECT_EQ(ar_got, ar_want) << "encode_ar";
+  }
+  {
+    std::vector<std::int64_t> cc_want = random_sink<std::int64_t>(len, rng);
+    std::vector<std::int64_t> cc_got = cc_want;
+    ref.encode_cc(apanel.data(), len, klen, tile, w.data(), cc_want.data());
+    simd.encode_cc(apanel.data(), len, klen, tile, w.data(), cc_got.data());
+    EXPECT_EQ(cc_got, cc_want) << "encode_cc";
+  }
+  // Integrity sums over a clean panel, then over arbitrary bytes (what a
+  // memory fault leaves behind, padding rows and depths included).
+  for (const bool scrambled : {false, true}) {
+    if (scrambled) {
+      for (std::uint8_t& v : apanel) v = std::uint8_t(rng.bounded(256));
+    }
+    std::vector<std::int32_t> rs_want =
+        random_sink<std::int32_t>(tiles * tile, rng);
+    std::vector<std::int32_t> rs_got = rs_want;
+    std::vector<std::int32_t> cs_want = random_sink<std::int32_t>(klen, rng);
+    std::vector<std::int32_t> cs_got = cs_want;
+    ref.panel_sums(apanel.data(), tiles, klen, tile, rs_want.data(),
+                   cs_want.data());
+    simd.panel_sums(apanel.data(), tiles, klen, tile, rs_got.data(),
+                    cs_got.data());
+    EXPECT_EQ(rs_got, rs_want) << "panel_sums rows, scrambled=" << scrambled;
+    EXPECT_EQ(cs_got, cs_want) << "panel_sums cols, scrambled=" << scrambled;
+  }
+
+  // B side: op(B) depth [k0, k0+klen) x columns [j0, j0+len).
+  const ExactI8Operand b(k0 + klen, j0 + len, trans, fill, rng);
+  for (const bool with_bcol : {true, false}) {
+    std::vector<std::int8_t> want(panel, 0x55), got(panel, 0x55);
+    std::vector<std::int32_t> bcol_want =
+        random_sink<std::int32_t>(j0 + len, rng);
+    std::vector<std::int32_t> bcol_got = bcol_want;
+    ref.pack_b(b.view, k0, j0, klen, len, tile, want.data(),
+               with_bcol ? bcol_want.data() : nullptr);
+    simd.pack_b(b.view, k0, j0, klen, len, tile, got.data(),
+                with_bcol ? bcol_got.data() : nullptr);
+    EXPECT_EQ(got, want) << "pack_b bytes";
+    EXPECT_EQ(bcol_got, bcol_want) << "pack_b bcol";
+  }
+  std::vector<std::int8_t> bpanel(panel, 0x55), bpanel_got(panel, 0x55);
+  {
+    std::vector<std::int32_t> bcol_want =
+        random_sink<std::int32_t>(j0 + len, rng);
+    std::vector<std::int32_t> bcol_got = bcol_want;
+    std::vector<std::int64_t> cr_want =
+        random_sink<std::int64_t>(j0 + len, rng);
+    std::vector<std::int64_t> cr_got = cr_want;
+    ref.pack_b_ft(b.view, k0, j0, klen, len, tile, bpanel.data(),
+                  bcol_want.data(), w.data(), cr_want.data());
+    simd.pack_b_ft(b.view, k0, j0, klen, len, tile, bpanel_got.data(),
+                   bcol_got.data(), w.data(), cr_got.data());
+    EXPECT_EQ(bpanel_got, bpanel) << "pack_b_ft bytes";
+    EXPECT_EQ(bcol_got, bcol_want) << "pack_b_ft bcol";
+    EXPECT_EQ(cr_got, cr_want) << "pack_b_ft cr";
+  }
+  for (const index_t kk0 : {index_t(0), std::min<index_t>(1, klen - 1)}) {
+    std::vector<std::int32_t> bc_want = random_sink<std::int32_t>(klen, rng);
+    std::vector<std::int32_t> bc_got = bc_want;
+    ref.reduce_bc(bpanel.data(), klen, len, tile, kk0, klen - kk0,
+                  bc_want.data());
+    simd.reduce_bc(bpanel.data(), klen, len, tile, kk0, klen - kk0,
+                   bc_got.data());
+    EXPECT_EQ(bc_got, bc_want) << "reduce_bc from depth " << kk0;
+  }
+}
+
+TEST(PackI8Parity, EveryMemberBitIdenticalToScalarReference) {
+  const I8PackSet ref = scalar_pack_i8();
+  Xoshiro256 rng(0x51D8u);
+  for (const Isa isa : executable_isas()) {
+    const I8PackSet simd = get_pack_set<std::int8_t, std::int32_t>(isa);
+    // get_pack_set hands out the packer the executor runs for `isa`.
+    EXPECT_EQ(simd.isa, isa);
+    EXPECT_EQ(simd.pack_a_ft,
+              (get_kernel_set<std::int8_t, std::int32_t>(isa).pack.pack_a_ft));
+    for (const bool trans : {false, true}) {
+      for (const index_t tile : {index_t(4), index_t(8), index_t(16)}) {
+        for (const index_t len : {index_t(1), index_t(5), index_t(16),
+                                  index_t(37), index_t(48)}) {
+          // Depth tails of every residue mod 4 and of the transposed
+          // sweep's 16-depth step (13, 30 and 67 leave 13, 14 and 3); 261
+          // crosses the narrow products' 64-quad widening.
+          for (const index_t klen : {index_t(1), index_t(2), index_t(3),
+                                     index_t(4), index_t(13), index_t(30),
+                                     index_t(67), index_t(261)}) {
+            for (int variant = 0; variant < 12; ++variant) {
+              const int fill = variant % 3, wmode = variant / 3;
+              SCOPED_TRACE("isa=" + std::string(isa_name(isa)) +
+                           " trans=" + std::to_string(trans) +
+                           " tile=" + std::to_string(tile) +
+                           " len=" + std::to_string(len) +
+                           " klen=" + std::to_string(klen) +
+                           " fill=" + std::to_string(fill) +
+                           " weights=" + std::to_string(wmode));
+              check_i8_members(ref, simd, trans, tile, len, klen, fill, wmode,
+                               rng);
+              if (::testing::Test::HasFailure()) return;
+            }
+          }
+        }
+      }
+      // Past the wide products' 1024-quad widening.
+      for (const int wmode : {1, 2}) {
+        SCOPED_TRACE("isa=" + std::string(isa_name(isa)) +
+                     " deep trans=" + std::to_string(trans) +
+                     " weights=" + std::to_string(wmode));
+        check_i8_members(ref, simd, trans, 16, 37, 4101, 0, wmode, rng);
+      }
+      // Past panel_sums' 64-tile column fold: 140 tiles of all-255 biased
+      // bytes would wrap an unfolded u16 lane.
+      check_i8_members(ref, simd, trans, 16, 16 * 140, 5, 2, 0, rng);
+    }
+  }
 }
 
 TEST(PackDispatch, KernelSetCarriesMatchingPackSet) {
