@@ -21,6 +21,12 @@ struct CpuFeatures {
   /// from the F/DQ/BW/VL baseline (Cascade Lake yes, Skylake-SP no); the
   /// int8 kernel dispatch falls back to the AVX2 emulation without it.
   bool avx512vnni = false;
+  /// The AMX-BF16 tier may run: CPUID reports AMX-TILE and AMX-BF16, XCR0
+  /// enables the tile state (XTILECFG + XTILEDATA), and the kernel granted
+  /// this process the XTILEDATA permission (Linux arch_prctl
+  /// ARCH_REQ_XCOMP_PERM), requested once at detection.  Sapphire Rapids
+  /// and later; false on the paper's Cascade Lake.
+  bool amx_bf16 = false;
 
   [[nodiscard]] bool has_avx2_kernel_support() const { return avx2 && fma; }
   [[nodiscard]] bool has_avx512_kernel_support() const {

@@ -195,21 +195,29 @@ inline void apply_planned_injections(FaultInjector* injector,
 /// Strike a transient packed panel between pack and consume (the kPanelA /
 /// kPanelB memory surfaces): the fault lands after every checksum predicted
 /// from the panel was derived, so the rank-KC panel verification must catch
-/// whatever the macro kernels compute from the corrupted bytes.  `live` is
-/// the count of live (unpadded) elements and `map` translates a live element
-/// ordinal into the physical packed-buffer index — flips in zero padding
+/// whatever the macro kernels compute from the corrupted bytes.  The surface
+/// is the `rows` x `klen` live elements of the block, in row-major ordinal
+/// order; the pack set's layout map `index` (w-wide panels) places each one
+/// in `buf`, whose elements are `elem_bytes` wide — flips in zero padding
 /// would be undetectable and harmless, so padding is not part of the
 /// surface.
-template <typename T, typename MapFn>
 inline void strike_transient_panel(MemoryFaultInjector* mem,
-                                   MemorySurface surface, T* buf,
-                                   std::size_t live, MapFn&& map) {
-  if (mem == nullptr || live == 0) return;
-  const MemoryStrikeContext mctx{surface, live, int(8 * sizeof(T))};
+                                   MemorySurface surface, void* buf,
+                                   int elem_bytes, index_t rows, index_t klen,
+                                   index_t w, PanelIndexFn index) {
+  if (mem == nullptr || rows <= 0 || klen <= 0) return;
+  const MemoryStrikeContext mctx{
+      surface, std::size_t(rows) * std::size_t(klen), 8 * elem_bytes};
   std::vector<PanelFlip> flips;
   mem->plan_flips(mctx, flips);
   if (flips.empty()) return;
-  for (const PanelFlip& f : flips) flip_value_bit(buf[map(f.elem)], f.bit);
+  auto* bytes = static_cast<unsigned char*>(buf);
+  for (const PanelFlip& f : flips) {
+    const index_t e = index(index_t(f.elem / std::size_t(klen)),
+                            index_t(f.elem % std::size_t(klen)), klen, w);
+    bytes[std::size_t(e) * std::size_t(elem_bytes) + std::size_t(f.bit) / 8] ^=
+        static_cast<unsigned char>(1u << (f.bit % 8));
+  }
   mem->record_applied(flips.size());
 }
 
@@ -281,10 +289,14 @@ FtReport execute_small(const GemmPlan<S, C>& plan, C alpha, const S* a,
     // zero-copy; narrow-storage payloads hold raw storage bits and are
     // widened (alpha applied, one fp32 rounding — bit-identical to the cold
     // convert-on-pack) into this call's atilde.
+    // Narrow-panel sets (AMX) store the payload in the very layout they
+    // consume, alpha-free: zero-copy as well.
     const T* apanel = ctx.atilde(0);
     if (ra != nullptr) {
       if constexpr (std::is_same_v<S, C>) {
         apanel = ra->panel_at(0);
+      } else if (ks.pack.narrow_panels) {
+        apanel = reinterpret_cast<const T*>(ra->panel_at(0));
       } else {
         ks.pack.widen_a(ra->panel_at(0), m, k, plan.blocking.mr, alpha,
                         ctx.atilde(0));
@@ -299,7 +311,7 @@ FtReport execute_small(const GemmPlan<S, C>& plan, C alpha, const S* a,
                                  index_t(0), k, ctx.bc(), 0.0);
       if (ra != nullptr) {
         ks.pack.encode_cc(apanel, av.trans, m, k, plan.blocking.mr, ctx.bc(),
-                          ctx.cc());
+                          ctx.cc(), alpha);
       } else {
         ks.pack.pack_a_ft(av, 0, 0, m, k, plan.blocking.mr, alpha,
                           ctx.atilde(0), ctx.bc(), ctx.cc());
@@ -317,28 +329,19 @@ FtReport execute_small(const GemmPlan<S, C>& plan, C alpha, const S* a,
     // this call packed or widened it there — a zero-copy resident panel is
     // the kResidentPanel surface, struck on acquire instead.
     if (mem_injector != nullptr) {
-      const index_t nr = plan.blocking.nr, mr = plan.blocking.mr;
-      strike_transient_panel(
-          mem_injector, MemorySurface::kPanelB, ctx.btilde(),
-          std::size_t(k) * std::size_t(n), [&](std::size_t l) {
-            const index_t j = index_t(l / std::size_t(k));
-            const index_t kk = index_t(l % std::size_t(k));
-            return std::size_t((j / nr) * (nr * k) + kk * nr + j % nr);
-          });
+      strike_transient_panel(mem_injector, MemorySurface::kPanelB,
+                             ctx.btilde(), ks.pack.panel_elem_bytes, n, k,
+                             plan.blocking.nr, ks.pack.b_index);
       if (apanel == ctx.atilde(0)) {
-        strike_transient_panel(
-            mem_injector, MemorySurface::kPanelA, ctx.atilde(0),
-            std::size_t(m) * std::size_t(k), [&](std::size_t l) {
-              const index_t i = index_t(l / std::size_t(k));
-              const index_t kk = index_t(l % std::size_t(k));
-              return std::size_t((i / mr) * (mr * k) + kk * mr + i % mr);
-            });
+        strike_transient_panel(mem_injector, MemorySurface::kPanelA,
+                               ctx.atilde(0), ks.pack.panel_elem_bytes, m, k,
+                               plan.blocking.mr, ks.pack.a_index);
       }
     }
 
     run_macro_block<T, FT>(ks, m, n, k, apanel, ctx.btilde(), c, ldc,
                            FT ? ctx.crref_part(0) : nullptr,
-                           FT ? ctx.ccref() : nullptr);
+                           FT ? ctx.ccref() : nullptr, alpha);
 
     if (injector != nullptr) {
       std::vector<InjectionRecord> planned;
@@ -513,13 +516,13 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
           if constexpr (FT) {
             if (jlen > 0) {
               ks.pack.pack_b_ft(bv, p, jc + js, pinc, jlen, bp.nr,
-                                ctx.btilde() + (js / bp.nr) * (bp.nr * pinc),
+                                ctx.btilde() + ks.pack.b_offset(js, pinc, bp.nr),
                                 ctx.ar() + p, ctx.cr() + jc + js);
             }
           } else {
             if (jlen > 0) {
               ks.pack.pack_b(bv, p, jc + js, pinc, jlen, bp.nr,
-                             ctx.btilde() + (js / bp.nr) * (bp.nr * pinc));
+                             ctx.btilde() + ks.pack.b_offset(js, pinc, bp.nr));
             }
           }
           tm.barrier();
@@ -544,15 +547,9 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
           // the single's implicit trailing barrier.
           if (mem_injector != nullptr) {
             tm.single([&] {
-              strike_transient_panel(
-                  mem_injector, MemorySurface::kPanelB, ctx.btilde(),
-                  std::size_t(pinc) * std::size_t(jinc),
-                  [&](std::size_t l) {
-                    const index_t j = index_t(l / std::size_t(pinc));
-                    const index_t kk = index_t(l % std::size_t(pinc));
-                    return std::size_t((j / bp.nr) * (bp.nr * pinc) +
-                                       kk * bp.nr + j % bp.nr);
-                  });
+              strike_transient_panel(mem_injector, MemorySurface::kPanelB,
+                                     ctx.btilde(), ks.pack.panel_elem_bytes,
+                                     jinc, pinc, bp.nr, ks.pack.b_index);
             });
           }
 
@@ -562,16 +559,19 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
             // Resident hit: slice this thread's (ic) slab out of the
             // payload's whole-M panel — ms and ic are both MR-aligned, so
             // the slab starts on a tile boundary at the exact bytes a cold
-            // pack_a would have written into atilde.  Narrow-storage
+            // pack_a would have written into atilde.  Widening sets' narrow
             // payloads hold raw storage bits: widen the slab (alpha
             // applied, one fp32 rounding — bit-identical to the cold
-            // convert-on-pack) into this thread's private atilde instead.
+            // convert-on-pack) into this thread's private atilde instead;
+            // narrow-panel sets consume the raw slab as it is.
             const T* apanel = ctx.atilde(tid);
             if (ra != nullptr) {
               const S* slab =
-                  ra->panel_at(p) + ((ms + ic) / bp.mr) * (bp.mr * pinc);
+                  ra->panel_at(p) + ks.pack.a_index(ms + ic, 0, pinc, bp.mr);
               if constexpr (std::is_same_v<S, C>) {
                 apanel = slab;
+              } else if (ks.pack.narrow_panels) {
+                apanel = reinterpret_cast<const T*>(slab);
               } else {
                 ks.pack.widen_a(slab, ilen, pinc, bp.mr, alpha,
                                 ctx.atilde(tid));
@@ -582,7 +582,7 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
                 // Replay the fused Cc update the skipped pack_a_ft would
                 // have accumulated for this (jc, ic) block.
                 ks.pack.encode_cc(apanel, av.trans, ilen, pinc, bp.mr,
-                                  ctx.bc(), ctx.cc() + ms + ic);
+                                  ctx.bc(), ctx.cc() + ms + ic, alpha);
               } else {
                 ks.pack.pack_a_ft(av, ms + ic, p, ilen, pinc, bp.mr, alpha,
                                   ctx.atilde(tid), ctx.bc(),
@@ -604,22 +604,16 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
             // strike placement would be a scheduling race.
             if (mem_injector != nullptr && tid == 0 &&
                 apanel == ctx.atilde(tid)) {
-              strike_transient_panel(
-                  mem_injector, MemorySurface::kPanelA, ctx.atilde(tid),
-                  std::size_t(ilen) * std::size_t(pinc),
-                  [&](std::size_t l) {
-                    const index_t i = index_t(l / std::size_t(pinc));
-                    const index_t kk = index_t(l % std::size_t(pinc));
-                    return std::size_t((i / bp.mr) * (bp.mr * pinc) +
-                                       kk * bp.mr + i % bp.mr);
-                  });
+              strike_transient_panel(mem_injector, MemorySurface::kPanelA,
+                                     ctx.atilde(tid), ks.pack.panel_elem_bytes,
+                                     ilen, pinc, bp.mr, ks.pack.a_index);
             }
 
             run_macro_block<T, FT>(
                 ks, ilen, jinc, pinc, apanel, ctx.btilde(),
                 c + (ms + ic) + jc * ldc, ldc,
                 FT ? ctx.crref_part(tid) + jc * lanes : nullptr,
-                FT ? ctx.ccref() + ms + ic : nullptr);
+                FT ? ctx.ccref() + ms + ic : nullptr, alpha);
 
             if (injector != nullptr) {
               const BlockContext bctx{panel, ms + ic, jc, ilen, jinc, tid};

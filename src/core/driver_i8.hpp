@@ -287,32 +287,11 @@ FtReport execute_small_i8(const GemmPlan<std::int8_t, std::int32_t>& plan,
     // would be undetectable by construction.  A~ is struck only when it is
     // this call's scratch, never a zero-copy resident slab.
     strike_transient_panel(mem_injector, MemorySurface::kPanelB, ctx.btilde(),
-                           std::size_t(k) * std::size_t(n),
-                           [&](std::size_t l) {
-                             const index_t j = index_t(l) / k;
-                             const index_t kk = index_t(l) % k;
-                             return std::size_t(
-                                 (j / plan.blocking.nr) *
-                                     i8_tile_bytes(k, plan.blocking.nr) +
-                                 (kk / kI8KQuad) * (plan.blocking.nr *
-                                                    kI8KQuad) +
-                                 (j % plan.blocking.nr) * kI8KQuad +
-                                 kk % kI8KQuad);
-                           });
+                           1, n, k, plan.blocking.nr, ks.pack.b_index);
     if (apanel == ctx.atilde(0)) {
       strike_transient_panel(mem_injector, MemorySurface::kPanelA,
-                             ctx.atilde(0), std::size_t(m) * std::size_t(k),
-                             [&](std::size_t l) {
-                               const index_t i = index_t(l) / k;
-                               const index_t kk = index_t(l) % k;
-                               return std::size_t(
-                                   (i / plan.blocking.mr) *
-                                       i8_tile_bytes(k, plan.blocking.mr) +
-                                   (kk / kI8KQuad) * (plan.blocking.mr *
-                                                      kI8KQuad) +
-                                   (i % plan.blocking.mr) * kI8KQuad +
-                                   kk % kI8KQuad);
-                             });
+                             ctx.atilde(0), 1, m, k, plan.blocking.mr,
+                             ks.pack.a_index);
     }
 
     run_macro_block_i8<FT>(ks, m, n, k, apanel, ctx.btilde(), ctx.cq(), m,
@@ -505,17 +484,9 @@ FtReport execute_i8(const GemmPlan<std::int8_t, std::int32_t>& plan,
           // zero rows and is undetectable by construction).
           if (mem_injector != nullptr) {
             tm.single([&] {
-              strike_transient_panel(
-                  mem_injector, MemorySurface::kPanelB, ctx.btilde(),
-                  std::size_t(pinc) * std::size_t(jinc),
-                  [&](std::size_t l) {
-                    const index_t j = index_t(l) / pinc;
-                    const index_t kk = index_t(l) % pinc;
-                    return std::size_t(
-                        (j / bp.nr) * i8_tile_bytes(pinc, bp.nr) +
-                        (kk / kI8KQuad) * (bp.nr * kI8KQuad) +
-                        (j % bp.nr) * kI8KQuad + kk % kI8KQuad);
-                  });
+              strike_transient_panel(mem_injector, MemorySurface::kPanelB,
+                                     ctx.btilde(), 1, jinc, pinc, bp.nr,
+                                     ks.pack.b_index);
             });  // trailing team barrier
           }
 
@@ -564,17 +535,9 @@ FtReport execute_i8(const GemmPlan<std::int8_t, std::int32_t>& plan,
             // which-thread-packed-first scheduling race.
             if (mem_injector != nullptr && tid == 0 &&
                 apanel == ctx.atilde(tid)) {
-              strike_transient_panel(
-                  mem_injector, MemorySurface::kPanelA, ctx.atilde(tid),
-                  std::size_t(ilen) * std::size_t(pinc),
-                  [&](std::size_t l) {
-                    const index_t i = index_t(l) / pinc;
-                    const index_t kk = index_t(l) % pinc;
-                    return std::size_t(
-                        (i / bp.mr) * i8_tile_bytes(pinc, bp.mr) +
-                        (kk / kI8KQuad) * (bp.mr * kI8KQuad) +
-                        (i % bp.mr) * kI8KQuad + kk % kI8KQuad);
-                  });
+              strike_transient_panel(mem_injector, MemorySurface::kPanelA,
+                                     ctx.atilde(tid), 1, ilen, pinc, bp.mr,
+                                     ks.pack.a_index);
             }
 
             run_macro_block_i8<FT>(ks, ilen, jinc, pinc, apanel,

@@ -167,8 +167,6 @@ void clear_process_caches() {
   process_context_cache<std::int8_t, std::int32_t>().clear_operands();
 }
 
-void clear_thread_plan_cache() { clear_process_caches(); }
-
 void dgemm(Layout layout, Trans ta, Trans tb, index_t m, index_t n, index_t k,
            double alpha, const double* a, index_t lda, const double* b,
            index_t ldb, double beta, double* c, index_t ldc,

@@ -137,10 +137,6 @@ FtReport ft_gemm_f16_reliable(Layout layout, Trans ta, Trans tb, index_t m,
 /// instead).
 void clear_process_caches();
 
-/// Deprecated historical name for clear_process_caches() (from when the
-/// plan cache was thread-local and the only process cache).  Same effect.
-[[deprecated("use clear_process_caches()")]] void clear_thread_plan_cache();
-
 // ---------------------------------------------------------------------------
 // Engine with workspace reuse.
 // ---------------------------------------------------------------------------

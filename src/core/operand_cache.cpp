@@ -80,12 +80,18 @@ OperandKey make_operand_key(const S* a, index_t lda, bool trans, C alpha,
 /// padding is caught too (it would feed the micro-kernels just the same).
 /// `pk` is the plan's pack set (the int8 specialization sweeps with it).
 template <typename S, typename C>
-void integrity_sums(const ResidentAPayload<S, C>& pl,
-                    const PackSet<S, C>& /*pk*/, C* rowchk, C* colchk) {
+void integrity_sums(const ResidentAPayload<S, C>& pl, const PackSet<S, C>& pk,
+                    C* rowchk, C* colchk) {
   std::fill(rowchk, rowchk + pl.tiles * pl.mr, C(0));
   std::fill(colchk, colchk + pl.k, C(0));
   for (index_t p = 0; p < pl.k; p += pl.kc) {
     const index_t pinc = std::min(pl.kc, pl.k - p);
+    // A set's own sweep (the AMX tier's depth-padded pair layout), else the
+    // portable loop over the MR-tile layout.
+    if (pk.panel_sums != nullptr) {
+      pk.panel_sums(pl.panel_at(p), pl.tiles, pinc, pl.mr, rowchk, colchk + p);
+      continue;
+    }
     const S* base = pl.panel_at(p);
     for (index_t q = 0; q < pl.tiles; ++q) {
       const S* tile = base + q * (pl.mr * pinc);
@@ -157,13 +163,21 @@ void fill_payload(ResidentAPayload<S, C>& pl, const S* a, index_t lda,
   pl.trans = trans;
   pl.alpha = alpha;
   pl.tiles = (m + pl.mr - 1) / pl.mr;
-  pl.panels.reset(pl.elems());
+  const OperandView<S> av{a, lda, trans};
+  const PackSet<S, C>& pk = plan.kernels.pack;
+  // Allocation follows the layout: a depth-padding layout (AMX) makes the
+  // last panel longer than tiles*mr*pinc.  Full panels are never padded
+  // (the planner rounds kc to the set's kc_quantum), so panel_at's
+  // tiles*mr*p offsets hold.
+  std::size_t panel_elems = 0;
+  for (index_t p = 0; p < k; p += pl.kc) {
+    panel_elems += std::size_t(
+        pk.a_index(pl.tiles * pl.mr, 0, std::min(pl.kc, k - p), pl.mr));
+  }
+  pl.panels.reset(panel_elems);
   pl.ar.reset(std::size_t(k));
   pl.rowchk.reset(std::size_t(pl.tiles * pl.mr));
   pl.colchk.reset(std::size_t(k));
-
-  const OperandView<S> av{a, lda, trans};
-  const PackSet<S, C>& pk = plan.kernels.pack;
 
   // Packed values are pure per-element (alpha * element, zero padding), so
   // one whole-M pack per panel lays down the exact bytes any (thread, ic)
@@ -171,7 +185,8 @@ void fill_payload(ResidentAPayload<S, C>& pl, const S* a, index_t lda,
   // Narrow storage keeps the *raw permuted bits* instead (pack_a_raw, alpha
   // not baked — half the resident footprint); the executor widens a slab
   // with PackSet::widen_a on every hit, which multiplies by alpha in the
-  // same single fp32 rounding the cold convert-on-pack path performs.
+  // same single fp32 rounding the cold convert-on-pack path performs — or,
+  // for narrow-panel sets, consumes it as is (their pack_a_raw IS pack_a).
   for (index_t p = 0; p < k; p += pl.kc) {
     const index_t pinc = std::min(pl.kc, k - p);
     S* dst = pl.panels.data() + std::size_t(pl.tiles * pl.mr) * std::size_t(p);

@@ -27,17 +27,41 @@ PlanKey make_plan_key(Trans ta, Trans tb, index_t m, index_t n, index_t k,
 
 template <typename S, typename C>
 GemmPlan<S, C> build_plan(const PlanKey& key) {
+  const Isa isa =
+      key.isa_override >= 0 ? Isa(key.isa_override) : select_isa();
+  return detail::build_plan_with_kernels<S, C>(key,
+                                               get_kernel_set<S, C>(isa));
+}
+
+template <typename S, typename C>
+GemmPlan<S, C> detail::build_plan_with_kernels(
+    const PlanKey& key, const KernelSet<S, C>& kernels) {
   GemmPlan<S, C> plan;
   plan.key = key;
-  plan.isa = key.isa_override >= 0 ? Isa(key.isa_override) : select_isa();
-  plan.kernels = get_kernel_set<S, C>(plan.isa);
-  // Blocking and tolerance both key on ComputeT: the cache-resident panels
+  plan.isa = kernels.isa;
+  plan.kernels = kernels;
+  // Blocking and tolerance both key on ComputeT: the widening sets' panels
   // are ComputeT-wide (narrow storage is widened on pack), and the checksum
   // arithmetic whose rounding the tolerance model bounds runs entirely in
   // ComputeT — a bf16-storage plan therefore shares the fp32 blocking and
-  // the fp32 tolerance derivation exactly (DESIGN.md §10).
+  // the fp32 tolerance derivation exactly (DESIGN.md §10).  The AMX tier's
+  // bf16 panels keep that blocking too (half its cache footprint; kc = 512
+  // measured no faster per depth than 256 on Sapphire Rapids) and only
+  // reshape it to their 32 x 32 tile and 32-deep kc granule below; for the
+  // other sets the reshape is a no-op.
   plan.blocking =
       make_plan(plan.isa, int(sizeof(C)), key.m, key.n, key.k);
+  {
+    BlockingPlan& bp = plan.blocking;
+    const auto round_up = [](index_t v, index_t q) {
+      return ((std::max<index_t>(v, q) + q - 1) / q) * q;
+    };
+    bp.mr = plan.kernels.mr;
+    bp.nr = plan.kernels.nr;
+    bp.mc = round_up(bp.mc, bp.mr);
+    bp.nc = round_up(bp.nc, bp.nr);
+    if (key.k > bp.kc) bp.kc = round_up(bp.kc, plan.kernels.kc_quantum);
+  }
   plan.k_zero = key.k <= 0;
   plan.num_panels =
       plan.k_zero ? 0 : (key.k + plan.blocking.kc - 1) / plan.blocking.kc;
@@ -85,6 +109,8 @@ template GemmPlan<float> build_plan<float, float>(const PlanKey&);
 template GemmPlan<double> build_plan<double, double>(const PlanKey&);
 template GemmPlan<bf16_t, float> build_plan<bf16_t, float>(const PlanKey&);
 template GemmPlan<fp16_t, float> build_plan<fp16_t, float>(const PlanKey&);
+template GemmPlan<bf16_t, float> detail::build_plan_with_kernels<bf16_t, float>(
+    const PlanKey&, const KernelSet<bf16_t, float>&);
 
 // int8 planning (declared in plan.hpp).  Differences from the generic body:
 //  * blocking is derived at elem_bytes = 1 — the packed panels stay 8-bit,

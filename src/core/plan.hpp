@@ -16,7 +16,7 @@
 //                functions, GemmEngine, ft_*_reliable, batched) reuses plans
 //                instead of re-planning.
 //
-// Environment knobs (FTGEMM_ISA, FTGEMM_TOL_FACTOR, FTGEMM_MC/NC/KC,
+// Environment knobs (FTGEMM_FORCE_ISA, FTGEMM_TOL_FACTOR, FTGEMM_MC/NC/KC,
 // FTGEMM_KERNEL_MR, FTGEMM_FAST_PATH_FLOPS) are read when a plan is
 // *built*; a warm cache will not observe later changes to them.  Callers
 // that mutate the environment mid-process (the blocking-ablation bench)
@@ -203,6 +203,17 @@ PlanKey make_plan_key(Trans ta, Trans tb, index_t m, index_t n, index_t k,
 /// plans.
 template <typename S, typename C = S>
 GemmPlan<S, C> build_plan(const PlanKey& key);
+
+namespace detail {
+/// build_plan around a caller-chosen kernel set instead of
+/// get_kernel_set(isa): how differential tests pin a tier the dispatcher
+/// would not pick on this host (the widening AVX-512 bf16 set next to the
+/// AMX tier).  Not for the cached paths — resident payloads key on the
+/// ISA, not on the set.
+template <typename S, typename C = S>
+GemmPlan<S, C> build_plan_with_kernels(const PlanKey& key,
+                                       const KernelSet<S, C>& kernels);
+}  // namespace detail
 
 /// Convenience: key + build in one step, bypassing any cache.  Stamps the
 /// storage dtype into the key like the cached paths do.

@@ -58,6 +58,13 @@ inline constexpr index_t kI8KQuad = 4;
   return i8_kq(klen) * kI8KQuad * tile;
 }
 
+/// The depth-quad layout as a PanelIndexFn (A and B alike): byte of live
+/// element (r, kk) in a block of depth klen packed into w-wide tiles.
+inline index_t i8_quad_index(index_t r, index_t kk, index_t klen, index_t w) {
+  return (r / w) * i8_tile_bytes(klen, w) + (kk / kI8KQuad) * (w * kI8KQuad) +
+         (r % w) * kI8KQuad + kk % kI8KQuad;
+}
+
 /// Register-tile bounds across the int8 kernel sets (macro-kernel edge
 /// scratch; the int8 NR of 16 exceeds the float layer's kMaxNr, hence its
 /// own constants).
@@ -142,6 +149,10 @@ struct PackSet<std::int8_t, std::int32_t> {
                      index_t mr, std::int32_t* rowsum,
                      std::int32_t* colsum) = nullptr;
   Isa isa = Isa::kScalar;
+  /// Layout maps of the packed panels (see PanelIndexFn); the quad layout
+  /// is shared by every int8 set.
+  PanelIndexFn a_index = &i8_quad_index;
+  PanelIndexFn b_index = &i8_quad_index;
 };
 
 /// Kernel set of the int8 path (full specialization; biased u8 x s8 -> i32

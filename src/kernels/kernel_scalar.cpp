@@ -66,23 +66,76 @@ KernelSet<float> scalar_kernels_f32() {
   return {&kernel_base<float>, &kernel_ft<float>, kMr, kNr, 1, Isa::kScalar, {}};
 }
 
+namespace {
+
+/// The per-ISA pack engine for (S, C).  Only get_kernel_set reaches it:
+/// get_pack_set is defined as get_kernel_set(isa).pack, so a tier that
+/// brings its own packers (AMX-BF16) can never diverge from what the pack
+/// probe and the tests see.
+template <typename S, typename C>
+PackSet<S, C> pack_for(Isa isa) {
+  if constexpr (std::is_same_v<S, bf16_t>) {
+    switch (isa) {
+      case Isa::kAvx512: return avx512_pack_bf16();
+      case Isa::kAvx2: return avx2_pack_bf16();
+      case Isa::kScalar: return scalar_pack_bf16();
+    }
+    return scalar_pack_bf16();
+  } else if constexpr (std::is_same_v<S, fp16_t>) {
+    switch (isa) {
+      case Isa::kAvx512: return avx512_pack_f16();
+      case Isa::kAvx2: return avx2_pack_f16();
+      case Isa::kScalar: return scalar_pack_f16();
+    }
+    return scalar_pack_f16();
+  } else if constexpr (sizeof(S) == 8) {
+    switch (isa) {
+      case Isa::kAvx512: return avx512_pack_f64();
+      case Isa::kAvx2: return avx2_pack_f64();
+      case Isa::kScalar: return scalar_pack_f64();
+    }
+    return scalar_pack_f64();
+  } else {
+    switch (isa) {
+      case Isa::kAvx512: return avx512_pack_f32();
+      case Isa::kAvx2: return avx2_pack_f32();
+      case Isa::kScalar: return scalar_pack_f32();
+    }
+    return scalar_pack_f32();
+  }
+}
+
+/// Widening mixed set: the ComputeT micro-kernels (same register tiles,
+/// mr/nr and FT epilogue lanes) with the widening pack engine swapped in.
+template <typename S, typename C>
+KernelSet<S, C> widening_kernel_set(Isa isa) {
+  const KernelSet<C> base = get_kernel_set<C>(isa);
+  KernelSet<S, C> ks;
+  ks.base = base.base;
+  ks.ft = base.ft;
+  ks.mr = base.mr;
+  ks.nr = base.nr;
+  ks.cr_lanes = base.cr_lanes;
+  ks.isa = base.isa;
+  ks.pack = pack_for<S, C>(ks.isa);
+  return ks;
+}
+
+}  // namespace
+
+KernelSet<bf16_t, float> avx512_widening_kernels_bf16() {
+  return widening_kernel_set<bf16_t, float>(Isa::kAvx512);
+}
+
 template <typename S, typename C>
 KernelSet<S, C> get_kernel_set(Isa isa) {
+  if constexpr (std::is_same_v<S, bf16_t>) {
+    // The AMX tier rides on the AVX-512 level (no Isa value of its own);
+    // amx_kernels_bf16 falls back to the widening set on hosts without it.
+    if (isa == Isa::kAvx512) return amx_kernels_bf16();
+  }
   if constexpr (!std::is_same_v<S, C>) {
-    // Mixed precision: the micro-kernels ARE the ComputeT kernels (narrow
-    // storage never reaches a multiplier — register tiles, mr/nr, and the
-    // FT epilogue lanes are identical to the ComputeT path), with the
-    // widening pack engine swapped in.
-    const KernelSet<C> base = get_kernel_set<C>(isa);
-    KernelSet<S, C> ks;
-    ks.base = base.base;
-    ks.ft = base.ft;
-    ks.mr = base.mr;
-    ks.nr = base.nr;
-    ks.cr_lanes = base.cr_lanes;
-    ks.isa = base.isa;
-    ks.pack = get_pack_set<S, C>(ks.isa);
-    return ks;
+    return widening_kernel_set<S, C>(isa);
   } else {
     KernelSet<S, C> ks;
     if constexpr (sizeof(C) == 8) {
@@ -104,14 +157,23 @@ KernelSet<S, C> get_kernel_set(Isa isa) {
     }
     // The packing & checksum engine rides along with the micro-kernels so
     // executors reach the whole ISA surface through one dispatch point.
-    ks.pack = get_pack_set<S, C>(ks.isa);
+    ks.pack = pack_for<S, C>(ks.isa);
     return ks;
   }
+}
+
+template <typename S, typename C>
+PackSet<S, C> get_pack_set(Isa isa) {
+  return get_kernel_set<S, C>(isa).pack;
 }
 
 template KernelSet<double> get_kernel_set<double, double>(Isa);
 template KernelSet<float> get_kernel_set<float, float>(Isa);
 template KernelSet<bf16_t, float> get_kernel_set<bf16_t, float>(Isa);
 template KernelSet<fp16_t, float> get_kernel_set<fp16_t, float>(Isa);
+template PackSet<double> get_pack_set<double, double>(Isa);
+template PackSet<float> get_pack_set<float, float>(Isa);
+template PackSet<bf16_t, float> get_pack_set<bf16_t, float>(Isa);
+template PackSet<fp16_t, float> get_pack_set<fp16_t, float>(Isa);
 
 }  // namespace ftgemm

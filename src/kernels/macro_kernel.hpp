@@ -25,11 +25,23 @@ namespace ftgemm {
 /// With FT=true, `cr_ref` / `cc_ref` (indexed from this block's first
 /// column / row) accumulate the reference checksums of the *final* C values;
 /// cr_ref is lane-strided (ks.cr_lanes slots per column, summed at
-/// verification time).
+/// verification time).  `alpha` reaches only whole-block kernels
+/// (ks.macro_*), whose panels are alpha-free; the micro-kernel sweep below
+/// finds alpha already packed into A~.
 template <typename T, bool FT, typename S = T>
 void run_macro_block(const KernelSet<S, T>& ks, index_t mlen, index_t nlen,
                      index_t kc, const T* a_packed, const T* b_packed, T* c,
-                     index_t ldc, T* cr_ref, T* cc_ref) {
+                     index_t ldc, T* cr_ref, T* cc_ref, T alpha = T(1)) {
+  if (ks.macro_ft != nullptr) {
+    if constexpr (FT) {
+      ks.macro_ft(mlen, nlen, kc, a_packed, b_packed, c, ldc, cr_ref, cc_ref,
+                  alpha);
+    } else {
+      ks.macro_base(mlen, nlen, kc, a_packed, b_packed, c, ldc, nullptr,
+                    nullptr, alpha);
+    }
+    return;
+  }
   const index_t mr = ks.mr;
   const index_t nr = ks.nr;
   alignas(64) T tile[kMaxMr * kMaxNr];

@@ -71,6 +71,26 @@ template <typename T>
 using MicroKernelFt = void (*)(index_t kc, const T* a, const T* b, T* c,
                                index_t ldc, T* cr_ref, T* cc_ref);
 
+/// A whole macro block in one call (run_macro_block's contract, plus the
+/// GEMM's alpha): for tile kernels that keep alpha out of the packed panels,
+/// load their tile configuration once per block and handle ragged edges
+/// themselves.  cr_ref/cc_ref are null when the FT epilogue is off.
+template <typename T>
+using MacroKernelFn = void (*)(index_t mlen, index_t nlen, index_t kc,
+                               const T* a, const T* b, T* c, index_t ldc,
+                               T* cr_ref, T* cc_ref, T alpha);
+
+/// Packed-panel geometry: the index, in packed elements, of live element
+/// (r, kk) — row/column r of the block, depth kk — in a block of depth
+/// `klen` packed into w-wide panels.  One function per layout, defined
+/// beside the packers that write it; everything outside the packers that
+/// addresses packed panels (panel offsets, transient-panel strikes, resident
+/// payload sizing) goes through it.  index(r0, 0, klen, w) for r0 a
+/// multiple of w is the start of the panel holding r0, so
+/// index(rows_padded, 0, klen, w) is the element count of a whole block.
+using PanelIndexFn = index_t (*)(index_t r, index_t kk, index_t klen,
+                                 index_t w);
+
 // ---------------------------------------------------------------------------
 // Packing & checksum-encode engine (the O(n^2)-per-panel layer).
 //
@@ -133,10 +153,14 @@ using EncodeArFn = double (*)(const OperandView<StorageT>& a, index_t i0,
 /// reproduces the cold path's Cc bit-for-bit.  `trans` is the original
 /// operand's transpose flag (the packed bytes are layout-free, but the
 /// Trans/NoTrans packers carry different accumulator shapes).  Operates on
-/// the ComputeT panel, so mixed paths replay over the widened panel.
+/// the panel the kernels consume: widened for the mixed widening sets,
+/// which bake alpha into it and ignore `alpha`; raw storage bits for
+/// narrow-panel sets (PackSet::narrow_panels), which scale by `alpha`
+/// exactly as their pack_a_ft does.
 template <typename T>
 using EncodeCcFn = void (*)(const T* packed, bool trans, index_t mlen,
-                            index_t klen, index_t mr, const T* bc, T* cc);
+                            index_t klen, index_t mr, const T* bc, T* cc,
+                            T alpha);
 
 /// Alpha-free permutation pack of an A block into MR-tile panel layout,
 /// kept in StorageT (no widening, no scaling).  The resident-operand cache
@@ -156,6 +180,16 @@ template <typename StorageT, typename ComputeT>
 using WidenAFn = void (*)(const StorageT* raw, index_t mlen, index_t klen,
                           index_t mr, ComputeT alpha, ComputeT* dst);
 
+/// Integrity sums of one resident A~ panel of `tiles` MR-tall tiles over
+/// depth klen (the resident encode and every verify-on-hit):
+/// rowsum[r] += every packed element of row r, colsum[kk] += depth kk of
+/// every row (kk < klen).  Any fixed order will do — fill and verify share
+/// it and compare bit-exactly.
+template <typename StorageT, typename ComputeT>
+using PanelSumsFn = void (*)(const StorageT* packed, index_t tiles,
+                             index_t klen, index_t mr, ComputeT* rowsum,
+                             ComputeT* colsum);
+
 /// The ISA-dispatched pack/reduce/encode family.  Obtained via
 /// get_pack_set(); a KernelSet returned by get_kernel_set() carries the
 /// matching PackSet, so executors reach both through one dispatch point.
@@ -173,12 +207,35 @@ struct PackSet {
   /// cache (see operand_cache.hpp).
   PackARawFn<StorageT> pack_a_raw = nullptr;
   WidenAFn<StorageT, ComputeT> widen_a = nullptr;
+  /// SIMD integrity sums over this set's resident panel layout; null =
+  /// the portable loop in operand_cache.cpp.
+  PanelSumsFn<StorageT, ComputeT> panel_sums = nullptr;
   Isa isa = Isa::kScalar;
+  /// Layout maps of the packed A and B panels (see PanelIndexFn).
+  PanelIndexFn a_index = nullptr;
+  PanelIndexFn b_index = nullptr;
+  /// Width of one packed element: sizeof(ComputeT) for the widening sets,
+  /// sizeof(StorageT) for narrow-panel sets (which store their panels in the
+  /// same ComputeT-typed buffers, at most as many bytes).
+  int panel_elem_bytes = int(sizeof(ComputeT));
+  /// Narrow-panel sets (the AMX-BF16 tier) pack StorageT bits without
+  /// alpha: the macro kernel applies alpha in its epilogue, pack_a_raw
+  /// writes the very panel pack_a does, and a resident payload is consumed
+  /// zero-copy (widen_a is null).
+  bool narrow_panels = false;
+
+  /// ComputeT-slot offset of the panel holding B column r0, a multiple of
+  /// the panel width w, in a block of depth klen.
+  [[nodiscard]] index_t b_offset(index_t r0, index_t klen, index_t w) const {
+    return b_index(r0, 0, klen, w) * panel_elem_bytes /
+           index_t(sizeof(ComputeT));
+  }
 };
 
-/// The kernels plus their register tile shape.  Micro-kernels always run in
-/// ComputeT (narrow storage never reaches a multiplier); only the pack
-/// engine sees StorageT.
+/// The kernels plus their register tile shape.  On the widening tiers the
+/// micro-kernels run in ComputeT and only the pack engine sees StorageT; the
+/// AMX-BF16 tier multiplies bf16 panels in tile registers (exact products,
+/// fp32 accumulation) through macro_base/macro_ft.
 template <typename StorageT, typename ComputeT = StorageT>
 struct KernelSet {
   MicroKernelBase<ComputeT> base = nullptr;
@@ -190,18 +247,29 @@ struct KernelSet {
   Isa isa = Isa::kScalar;
   /// Pack/reduce/encode routines matching `isa` (see get_pack_set).
   PackSet<StorageT, ComputeT> pack;
+  /// Whole-block kernels; when set, run_macro_block hands them the block
+  /// (and base/ft are null).
+  MacroKernelFn<ComputeT> macro_base = nullptr;
+  MacroKernelFn<ComputeT> macro_ft = nullptr;
+  /// Depth granule of full rank-KC panels: the planner rounds kc to a
+  /// multiple of it whenever k spans more than one panel, so only the last
+  /// panel of a call can carry depth padding.
+  index_t kc_quantum = 1;
 };
 
 /// Dispatch: returns the kernel set for the requested ISA (which callers
 /// obtain from select_isa(), already clamped to hardware capability).  The
 /// returned set's `pack` member is filled with get_pack_set(isa).  Mixed
 /// instantiations reuse the ComputeT micro-kernels (same register tiles,
-/// same mr/nr/cr_lanes) and swap in the widening pack engine.
+/// same mr/nr/cr_lanes) and swap in the widening pack engine — except that
+/// <bf16_t, float> at Isa::kAvx512 returns the AMX-BF16 tier when
+/// cpu_features().amx_bf16 holds (see amx_kernels_bf16).
 template <typename StorageT, typename ComputeT = StorageT>
 KernelSet<StorageT, ComputeT> get_kernel_set(Isa isa);
 
-/// Dispatch for the packing & checksum engine alone (tests and the packing
-/// bench compare ISAs side by side without dragging in micro-kernels).
+/// The packing & checksum engine of get_kernel_set(isa) — by definition
+/// its `pack` member, so a pack probe or test always times and checks the
+/// packer the executor runs.
 template <typename StorageT, typename ComputeT = StorageT>
 PackSet<StorageT, ComputeT> get_pack_set(Isa isa);
 
@@ -225,6 +293,16 @@ PackSet<bf16_t, float> avx2_pack_bf16();
 PackSet<fp16_t, float> avx2_pack_f16();
 PackSet<bf16_t, float> avx512_pack_bf16();
 PackSet<fp16_t, float> avx512_pack_f16();
+
+/// The AMX-BF16 tier (kernel_amx.cpp): TDPBF16PS macro kernels over bf16
+/// tile-layout panels, with alpha and the FT checksums fused in the tile
+/// epilogue.  Only callable when cpu_features().amx_bf16 holds; otherwise
+/// it returns the widening AVX-512 set.
+KernelSet<bf16_t, float> amx_kernels_bf16();
+/// The widening AVX-512 bf16 set (fp32 FMA kernels over widened panels) —
+/// what get_kernel_set returns at Isa::kAvx512 on hosts without AMX.
+/// Internal accessor for differential tests and benches.
+KernelSet<bf16_t, float> avx512_widening_kernels_bf16();
 
 // Per-ISA accessors implemented in the ISA-specific translation units.
 KernelSet<double> avx512_kernels_f64();

@@ -1,4 +1,5 @@
-// Scalar PackSet + ISA dispatch for the packing & checksum engine.
+// Scalar PackSet for the packing & checksum engine (the ISA dispatch lives
+// with get_kernel_set in kernel_scalar.cpp).
 //
 // The scalar entries simply take the addresses of the portable templates in
 // kernels/packing.hpp / abft/checksum.hpp.  This translation unit is
@@ -14,8 +15,6 @@
 // and the checksum-side members (reduce_bc / scale_encode_c / encode_cc)
 // are the plain fp32 instantiations because they only ever see ComputeT
 // panels (the checksum-in-accumulator-type rule, DESIGN.md §10).
-#include <type_traits>
-
 #include "abft/checksum.hpp"
 #include "kernels/packing.hpp"
 
@@ -37,6 +36,8 @@ PackSet<S, C> make_scalar_pack() {
   p.pack_a_raw = &pack_a_raw<S>;
   p.widen_a = &widen_a_panel<S, C>;
   p.isa = Isa::kScalar;
+  p.a_index = &mr_tile_index;
+  p.b_index = &mr_tile_index;
   return p;
 }
 
@@ -50,43 +51,5 @@ PackSet<bf16_t, float> scalar_pack_bf16() {
 PackSet<fp16_t, float> scalar_pack_f16() {
   return make_scalar_pack<fp16_t, float>();
 }
-
-template <typename S, typename C>
-PackSet<S, C> get_pack_set(Isa isa) {
-  if constexpr (std::is_same_v<S, bf16_t>) {
-    switch (isa) {
-      case Isa::kAvx512: return avx512_pack_bf16();
-      case Isa::kAvx2: return avx2_pack_bf16();
-      case Isa::kScalar: return scalar_pack_bf16();
-    }
-    return scalar_pack_bf16();
-  } else if constexpr (std::is_same_v<S, fp16_t>) {
-    switch (isa) {
-      case Isa::kAvx512: return avx512_pack_f16();
-      case Isa::kAvx2: return avx2_pack_f16();
-      case Isa::kScalar: return scalar_pack_f16();
-    }
-    return scalar_pack_f16();
-  } else if constexpr (sizeof(S) == 8) {
-    switch (isa) {
-      case Isa::kAvx512: return avx512_pack_f64();
-      case Isa::kAvx2: return avx2_pack_f64();
-      case Isa::kScalar: return scalar_pack_f64();
-    }
-    return scalar_pack_f64();
-  } else {
-    switch (isa) {
-      case Isa::kAvx512: return avx512_pack_f32();
-      case Isa::kAvx2: return avx2_pack_f32();
-      case Isa::kScalar: return scalar_pack_f32();
-    }
-    return scalar_pack_f32();
-  }
-}
-
-template PackSet<double> get_pack_set<double, double>(Isa);
-template PackSet<float> get_pack_set<float, float>(Isa);
-template PackSet<bf16_t, float> get_pack_set<bf16_t, float>(Isa);
-template PackSet<fp16_t, float> get_pack_set<fp16_t, float>(Isa);
 
 }  // namespace ftgemm

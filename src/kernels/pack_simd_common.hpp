@@ -847,7 +847,7 @@ void pack_b_ft_disp(const OperandView<typename TR::T>& b, index_t k0,
 template <class TR>
 void encode_cc_disp(const typename TR::T* packed, bool trans, index_t mlen,
                     index_t klen, index_t mr, const typename TR::T* bc,
-                    typename TR::T* cc) {
+                    typename TR::T* cc, typename TR::T alpha) {
   using T = typename TR::T;
   const bool simd_ok =
       trans ? (mr % trans_tile<T>() == 0 &&
@@ -866,7 +866,7 @@ void encode_cc_disp(const typename TR::T* packed, bool trans, index_t mlen,
   }
   if (ip < mlen) {  // ragged tail tile (or whole call): scalar oracle path
     scalar_pack<T>().encode_cc(packed, trans, mlen - ip, klen, mr, bc,
-                               cc + ip);
+                               cc + ip, alpha);
   }
 }
 
@@ -899,6 +899,8 @@ PackSet<typename TR::T> make_simd_pack(Isa isa) {
   p.pack_a_raw = scalar_pack<typename TR::T>().pack_a_raw;
   p.widen_a = scalar_pack<typename TR::T>().widen_a;
   p.isa = isa;
+  p.a_index = &mr_tile_index;
+  p.b_index = &mr_tile_index;
   return p;
 }
 
@@ -1358,6 +1360,8 @@ PackSet<typename LD::S, float> make_mixed_pack(Isa isa) {
   p.pack_a_raw = scalar_pack_mixed<typename LD::S>().pack_a_raw;
   p.widen_a = &widen_a_mixed<TR, LD>;
   p.isa = isa;
+  p.a_index = &mr_tile_index;
+  p.b_index = &mr_tile_index;
   return p;
 }
 

@@ -44,6 +44,13 @@ inline constexpr index_t kPackAccLanes = 16;
 static_assert(kPackAccLanes >= kMaxNr,
               "panel accumulator block must cover the widest kernel tile");
 
+/// The MR-tile layout every packer in this file (and the widening SIMD
+/// sets) writes, for A (w = MR) and B (w = NR) alike: panel q holds rows
+/// (columns) q*w.. as klen consecutive w-wide depth slices.
+inline index_t mr_tile_index(index_t r, index_t kk, index_t klen, index_t w) {
+  return (r / w) * (w * klen) + kk * w + r % w;
+}
+
 /// Pack rows [m0, m0+mlen) x cols [k0, k0+klen) of the effective A into
 /// MR-tall panels, scaled by alpha and zero-padded to a multiple of MR.
 /// Panel layout: panel q (rows q*MR..) is klen consecutive MR-columns.
@@ -223,7 +230,8 @@ void pack_b_ft(const OperandView<S>& b, index_t k0, index_t j0, index_t klen,
 template <typename T>
 void encode_cc_from_panel(const T* __restrict__ packed, bool /*trans*/,
                           index_t mlen, index_t klen, index_t mr,
-                          const T* __restrict__ bc, T* __restrict__ cc) {
+                          const T* __restrict__ bc, T* __restrict__ cc,
+                          T /*alpha: already in the panel*/) {
   for (index_t ip = 0; ip < mlen; ip += mr) {
     const index_t rows = std::min(mr, mlen - ip);
     for (index_t kk = 0; kk < klen; ++kk) {

@@ -51,9 +51,9 @@ TEST(Isa, SelectNeverExceedsHardware) {
 
 // The Isa.EnvOverride* tests probe the env-var policy itself, so they must
 // neutralize any FTGEMM_FORCE_ISA inherited from the outer environment
-// (the CI scalar-fallback leg exports it for the whole ctest run; it wins
-// over FTGEMM_ISA by design) — and restore it afterwards so the rest of
-// this binary still runs under the leg's forced ISA.
+// (the CI scalar-fallback leg exports it for the whole ctest run) — and
+// restore it afterwards so the rest of this binary still runs under the
+// leg's forced ISA.
 class ForceIsaScope {
  public:
   ForceIsaScope() {
@@ -72,35 +72,25 @@ class ForceIsaScope {
 
 TEST(Isa, EnvOverrideDowngrades) {
   ForceIsaScope no_force;
-  ::setenv("FTGEMM_ISA", "scalar", 1);
+  ::setenv("FTGEMM_FORCE_ISA", "scalar", 1);
   EXPECT_EQ(select_isa(), Isa::kScalar);
-  ::setenv("FTGEMM_ISA", "avx2", 1);
+  ::setenv("FTGEMM_FORCE_ISA", "avx2", 1);
   const Isa got = select_isa();
   if (cpu_features().has_avx2_kernel_support()) {
     EXPECT_EQ(got, Isa::kAvx2);
   } else {
     EXPECT_EQ(got, Isa::kScalar);
   }
-  ::unsetenv("FTGEMM_ISA");
+  ::unsetenv("FTGEMM_FORCE_ISA");
 }
 
 TEST(Isa, EnvOverrideCannotUpgradeBeyondHardware) {
   ForceIsaScope no_force;
-  ::setenv("FTGEMM_ISA", "avx512", 1);
+  ::setenv("FTGEMM_FORCE_ISA", "avx512", 1);
   const Isa got = select_isa();
   if (!cpu_features().has_avx512_kernel_support()) {
     EXPECT_NE(got, Isa::kAvx512);
   }
-  ::unsetenv("FTGEMM_ISA");
-}
-
-TEST(Isa, ForceIsaWinsOverHistoricalOverride) {
-  ForceIsaScope no_force;
-  ::setenv("FTGEMM_FORCE_ISA", "scalar", 1);
-  ::setenv("FTGEMM_ISA", "avx2", 1);
-  EXPECT_EQ(select_isa(), Isa::kScalar)
-      << "FTGEMM_FORCE_ISA must take precedence over FTGEMM_ISA";
-  ::unsetenv("FTGEMM_ISA");
   ::unsetenv("FTGEMM_FORCE_ISA");
 }
 

@@ -1,12 +1,14 @@
 // Memory-fault model unit tests (DESIGN.md §12): the SEC-DED (72,64) code,
 // the memory-injector canonicalization contract (net-bit ground truth), the
 // ECC-coded resident-operand path, the transient packed-panel strike
-// surfaces on the exact int8 path, and the plan-cache self-check heal.
+// surfaces on the exact int8 path and on the bf16 AMX tier's tile-layout
+// panels, and the plan-cache self-check heal.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "arch/cpu_features.hpp"
 #include "core/context.hpp"
 #include "core/gemm.hpp"
 #include "core/gemm_i8.hpp"
@@ -454,6 +456,89 @@ TEST(TransientPanels, I8PanelBStrikesAlwaysDetectedFastPath) {
 TEST(TransientPanels, I8PanelAStrikesAlwaysDetectedFastPath) {
   run_i8_transient_case({64, 48, 64, 1}, MemorySurface::kPanelA,
                         test_seed(3004));
+}
+
+// ---------------------------------------------------------------------------
+// Transient packed panels on the bf16 AMX tier: the strike lands through
+// the tier's own layout maps on bf16 tile-layout panels.  A panel element
+// feeds a whole row (A~) or column (B~) of C, which the single-checksum
+// locator flags rather than repairs; ft_gemm_bf16_reliable then re-runs
+// from its snapshot.  Contract: significant flips are detected and the
+// delivered result is the clean one — never silent.  (A low mantissa bit
+// of a small element can perturb C below the verification threshold; such
+// a flip stays inside the rounding budget and is not an error.)
+// ---------------------------------------------------------------------------
+
+void run_bf16_amx_transient_case(const I8Case& cs, MemorySurface surface,
+                                 std::uint64_t seed) {
+  if (!cpu_features().amx_bf16 || select_isa() != Isa::kAvx512) {
+    GTEST_SKIP() << "AMX-BF16 tier not selected on this host; bf16 panels "
+                    "are the widened fp32 ones";
+  }
+  Xoshiro256 rng(seed);
+  Matrix<bf16_t> a(cs.m, cs.k), b(cs.k, cs.n);
+  // Small positive integers: exact in bf16, every element feeds products
+  // with nonzero multipliers.
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i)
+      a(i, j) = bf16_t(float(1 + rng.bounded(7)));
+  for (index_t j = 0; j < b.cols(); ++j)
+    for (index_t i = 0; i < b.rows(); ++i)
+      b(i, j) = bf16_t(float(1 + rng.bounded(7)));
+  Matrix<float> ref(cs.m, cs.n), c(cs.m, cs.n);
+  ref.fill(0.0f);
+
+  Options opts;
+  opts.threads = cs.threads;
+  const auto run = [&](Matrix<float>& out, const Options& o) {
+    return ft_gemm_bf16_reliable(Layout::kColMajor, Trans::kNoTrans,
+                                 Trans::kNoTrans, cs.m, cs.n, cs.k, 1.0f,
+                                 a.data(), a.ld(), b.data(), b.ld(), 0.0f,
+                                 out.data(), out.ld(), o);
+  };
+  ASSERT_TRUE(run(ref, opts).clean());
+
+  SurfaceBitFlipInjector injector(surface, /*faults=*/1, /*burst=*/1, seed);
+  Options strike = opts;
+  strike.memory_injector = &injector;
+  const double tol = testing::gemm_tolerance<float>(cs.k);
+  constexpr int kRounds = 12;
+  int detected_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    injector.arm();
+    c.fill(0.0f);
+    const FtReport rep = run(c, strike);
+    EXPECT_TRUE(rep.clean()) << memory_surface_name(surface) << " round "
+                             << round << seed_note(seed);
+    EXPECT_LE(max_rel_diff(c, ref), tol)
+        << memory_surface_name(surface) << " round " << round
+        << seed_note(seed);
+    if (rep.errors_detected > 0) ++detected_rounds;
+  }
+  EXPECT_GT(detected_rounds, kRounds / 2)
+      << memory_surface_name(surface) << seed_note(seed);
+  EXPECT_EQ(injector.applied_count(), std::size_t(kRounds)) << seed_note(seed);
+  EXPECT_GE(injector.opportunities(), std::size_t(kRounds)) << seed_note(seed);
+}
+
+TEST(TransientPanels, Bf16AmxPanelBStrikesNeverSilentGeneralPath) {
+  run_bf16_amx_transient_case({128, 96, 384, 2}, MemorySurface::kPanelB,
+                              test_seed(3011));
+}
+
+TEST(TransientPanels, Bf16AmxPanelAStrikesNeverSilentGeneralPath) {
+  run_bf16_amx_transient_case({128, 96, 384, 2}, MemorySurface::kPanelA,
+                              test_seed(3012));
+}
+
+TEST(TransientPanels, Bf16AmxPanelBStrikesNeverSilentFastPath) {
+  run_bf16_amx_transient_case({64, 48, 40, 1}, MemorySurface::kPanelB,
+                              test_seed(3013));
+}
+
+TEST(TransientPanels, Bf16AmxPanelAStrikesNeverSilentFastPath) {
+  run_bf16_amx_transient_case({64, 48, 40, 1}, MemorySurface::kPanelA,
+                              test_seed(3014));
 }
 
 }  // namespace

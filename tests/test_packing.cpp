@@ -682,5 +682,59 @@ TEST(PackDispatch, KernelSetCarriesMatchingPackSet) {
   }
 }
 
+/// Member-for-member equality of two pack sets (every function pointer and
+/// layout field), so a dispatch level cannot hand a probe one packer and
+/// the executor another.
+template <typename S, typename C>
+void expect_same_pack_set(const PackSet<S, C>& got, const PackSet<S, C>& want) {
+  EXPECT_EQ(got.pack_a, want.pack_a);
+  EXPECT_EQ(got.pack_a_ft, want.pack_a_ft);
+  EXPECT_EQ(got.pack_b, want.pack_b);
+  EXPECT_EQ(got.pack_b_ft, want.pack_b_ft);
+  EXPECT_EQ(got.reduce_bc, want.reduce_bc);
+  EXPECT_EQ(got.scale_encode_c, want.scale_encode_c);
+  EXPECT_EQ(got.encode_ar, want.encode_ar);
+  EXPECT_EQ(got.encode_cc, want.encode_cc);
+  EXPECT_EQ(got.pack_a_raw, want.pack_a_raw);
+  EXPECT_EQ(got.widen_a, want.widen_a);
+  EXPECT_EQ(got.panel_sums, want.panel_sums);
+  EXPECT_EQ(got.isa, want.isa);
+  EXPECT_EQ(got.a_index, want.a_index);
+  EXPECT_EQ(got.b_index, want.b_index);
+  EXPECT_EQ(got.panel_elem_bytes, want.panel_elem_bytes);
+  EXPECT_EQ(got.narrow_panels, want.narrow_panels);
+}
+
+void expect_same_pack_set(const PackSet<std::int8_t, std::int32_t>& got,
+                          const PackSet<std::int8_t, std::int32_t>& want) {
+  EXPECT_EQ(got.pack_a, want.pack_a);
+  EXPECT_EQ(got.pack_a_ft, want.pack_a_ft);
+  EXPECT_EQ(got.pack_b, want.pack_b);
+  EXPECT_EQ(got.pack_b_ft, want.pack_b_ft);
+  EXPECT_EQ(got.reduce_bc, want.reduce_bc);
+  EXPECT_EQ(got.encode_ar, want.encode_ar);
+  EXPECT_EQ(got.encode_cc, want.encode_cc);
+  EXPECT_EQ(got.panel_sums, want.panel_sums);
+  EXPECT_EQ(got.isa, want.isa);
+  EXPECT_EQ(got.a_index, want.a_index);
+  EXPECT_EQ(got.b_index, want.b_index);
+}
+
+TEST(PackDispatch, GetPackSetIsTheKernelSetsPackForEveryPrecision) {
+  for (const Isa isa : executable_isas()) {
+    SCOPED_TRACE("isa=" + std::string(isa_name(isa)));
+    expect_same_pack_set(get_pack_set<double>(isa),
+                         get_kernel_set<double>(isa).pack);
+    expect_same_pack_set(get_pack_set<float>(isa),
+                         get_kernel_set<float>(isa).pack);
+    expect_same_pack_set((get_pack_set<bf16_t, float>(isa)),
+                         (get_kernel_set<bf16_t, float>(isa).pack));
+    expect_same_pack_set((get_pack_set<fp16_t, float>(isa)),
+                         (get_kernel_set<fp16_t, float>(isa).pack));
+    expect_same_pack_set((get_pack_set<std::int8_t, std::int32_t>(isa)),
+                         (get_kernel_set<std::int8_t, std::int32_t>(isa).pack));
+  }
+}
+
 }  // namespace
 }  // namespace ftgemm

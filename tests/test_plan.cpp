@@ -420,32 +420,6 @@ TEST(PlanCacheTest, ClearProcessCachesAlsoDropsResidentOperands) {
       << "cleared plan must rebuild too";
 }
 
-TEST(PlanCacheTest, DeprecatedClearAliasStillClears) {
-  // clear_thread_plan_cache() survives one release as an alias; it must
-  // keep the historical behavior (now routed to clear_process_caches).
-  const index_t n = 32;
-  Matrix<double> a(n, n), b(n, n), c(n, n);
-  a.fill_random(21);
-  b.fill_random(22);
-  c.fill(0.0);
-  Options opts;
-  opts.resident_a = true;
-  ft_dgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
-           a.data(), n, b.data(), n, 0.0, c.data(), n, opts);
-  EXPECT_GE(process_context_cache<double>().operands().stats().entries, 1u);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  clear_thread_plan_cache();
-#pragma GCC diagnostic pop
-  EXPECT_EQ(process_context_cache<double>().operands().stats().entries, 0u);
-  const std::uint64_t misses_before =
-      process_context_cache<double>().plan_misses();
-  dgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
-        a.data(), n, b.data(), n, 0.0, c.data(), n);
-  EXPECT_GT(process_context_cache<double>().plan_misses(), misses_before)
-      << "the alias must drop cached plans exactly like the new name";
-}
-
 TEST(PlanFastPath, InjectedFaultsStillDetectedAndCorrected) {
   // The fast path keeps the fused checksums: a burst aimed at a
   // single-macro-tile problem must be corrected exactly as on the general

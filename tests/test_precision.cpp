@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -155,8 +156,148 @@ Matrix<float> widened(const Matrix<S>& src) {
 }
 
 template <typename S>
+std::uint16_t storage_bits(S v) {
+  std::uint16_t b = 0;
+  static_assert(sizeof(S) == sizeof(b));
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// The AMX tier's packing contract, replacing the widened-panel one below:
+/// its panels hold the source's bf16 bits (alpha-free) at the positions its
+/// layout maps name, zero everywhere else in the block, inside a
+/// ComputeT-sized buffer; pack_a_raw writes the very same panel (consumed
+/// zero-copy on a resident hit, so there is no widen_a); encode_cc over the
+/// raw panel replays pack_a_ft's Cc bit for bit; and the fused checksums
+/// match the fp32 convert-then-pack reference within the same 1e-3 bound.
+template <typename S>
+void narrow_panel_sweep(const PackSet<S, float>& mixed, const KernelSet<S, float>& ks) {
+  const PackSet<float> f32 = get_pack_set<float>(Isa::kScalar);
+  EXPECT_EQ(mixed.widen_a, nullptr);
+  EXPECT_EQ(mixed.panel_elem_bytes, int(sizeof(S)));
+  const index_t mr = ks.mr, nr = ks.nr;
+  Matrix<S> src(150, 150);
+  src.fill_random(53);
+  const Matrix<float> wide = widened(src);
+  const auto check_block = [](const std::vector<float>& buf, index_t rows,
+                              index_t w, index_t klen, PanelIndexFn index,
+                              const auto& value_bits) {
+    const index_t padded = (rows + w - 1) / w * w;
+    const std::size_t extent = std::size_t(index(padded, 0, klen, w));
+    ASSERT_LE(extent * sizeof(S), buf.size() * sizeof(float))
+        << "panel must fit the ComputeT-sized buffer";
+    std::vector<std::uint16_t> got(extent);
+    std::memcpy(got.data(), buf.data(), extent * sizeof(S));
+    std::vector<char> live(extent, 0);
+    for (index_t r = 0; r < rows; ++r) {
+      for (index_t kk = 0; kk < klen; ++kk) {
+        const std::size_t e = std::size_t(index(r, kk, klen, w));
+        ASSERT_LT(e, extent);
+        EXPECT_EQ(live[e], 0) << "two elements map to " << e;
+        live[e] = 1;
+        EXPECT_EQ(got[e], value_bits(r, kk)) << "r=" << r << " kk=" << kk;
+      }
+    }
+    for (std::size_t e = 0; e < extent; ++e) {
+      if (live[e] == 0) {
+        EXPECT_EQ(got[e], 0u) << "padding at " << e;
+      }
+    }
+  };
+
+  for (const bool trans : {false, true}) {
+    const OperandView<S> view{src.data(), src.ld(), trans};
+    const OperandView<float> wview{wide.data(), wide.ld(), trans};
+    for (const index_t klen :
+         {index_t(1), index_t(7), index_t(45), index_t(64)}) {
+      for (const index_t mlen :
+           {index_t(1), mr - 1, mr, mr + 1, 3 * mr - 2}) {
+        SCOPED_TRACE("trans=" + std::to_string(trans) +
+                     " mlen=" + std::to_string(mlen) +
+                     " klen=" + std::to_string(klen));
+        const float alpha = -1.25f;
+        const index_t panels = (mlen + mr - 1) / mr;
+        const std::size_t dn = std::size_t(panels * mr * klen);
+        std::vector<float> got(dn, -55.0f), ref(dn);
+        mixed.pack_a(view, 2, 1, mlen, klen, mr, alpha, got.data());
+        check_block(got, mlen, mr, klen, mixed.a_index,
+                    [&](index_t i, index_t kk) {
+                      return storage_bits(view.at(2 + i, 1 + kk));
+                    });
+
+        std::vector<float> bc(static_cast<std::size_t>(klen));
+        for (index_t kk = 0; kk < klen; ++kk)
+          bc[std::size_t(kk)] = 0.1f * float(kk + 1);
+        std::vector<float> cc_want(std::size_t(mlen), 1.0f),
+            cc_got(std::size_t(mlen), 1.0f), cc_replay(std::size_t(mlen), 1.0f);
+        std::vector<float> got_ft(dn, -66.0f);
+        f32.pack_a_ft(wview, 2, 1, mlen, klen, mr, alpha, ref.data(),
+                      bc.data(), cc_want.data());
+        mixed.pack_a_ft(view, 2, 1, mlen, klen, mr, alpha, got_ft.data(),
+                        bc.data(), cc_got.data());
+        const std::size_t extent =
+            std::size_t(mixed.a_index(panels * mr, 0, klen, mr));
+        EXPECT_EQ(std::memcmp(got.data(), got_ft.data(), extent * sizeof(S)), 0)
+            << "pack_a_ft panel must equal pack_a";
+        for (std::size_t i = 0; i < cc_want.size(); ++i) {
+          EXPECT_NEAR(cc_got[i], cc_want[i],
+                      1e-3 * std::max(1.0, std::abs(double(cc_want[i]))))
+              << "cc[" << i << "]";
+        }
+
+        // Resident pair: the raw pack IS the panel, and the Cc replay over
+        // it reproduces the cold pack_a_ft bit for bit.
+        std::vector<S> raw(dn * sizeof(float) / sizeof(S));
+        mixed.pack_a_raw(view, 2, 1, mlen, klen, mr, raw.data());
+        EXPECT_EQ(std::memcmp(raw.data(), got.data(), extent * sizeof(S)), 0)
+            << "pack_a_raw must write the consumed panel";
+        mixed.encode_cc(reinterpret_cast<const float*>(raw.data()), trans,
+                        mlen, klen, mr, bc.data(), cc_replay.data(), alpha);
+        EXPECT_EQ(cc_replay, cc_got) << "Cc replay must be bit-identical";
+      }
+      for (const index_t nlen :
+           {index_t(1), nr - 1, nr, nr + 1, 4 * nr - 3}) {
+        SCOPED_TRACE("trans=" + std::to_string(trans) +
+                     " nlen=" + std::to_string(nlen) +
+                     " klen=" + std::to_string(klen));
+        const index_t panels = (nlen + nr - 1) / nr;
+        const std::size_t dn = std::size_t(panels * nr * klen);
+        std::vector<float> got(dn, -55.0f), got_ft(dn, -66.0f), ref(dn);
+        mixed.pack_b(view, 1, 2, klen, nlen, nr, got.data());
+        check_block(got, nlen, nr, klen, mixed.b_index,
+                    [&](index_t j, index_t kk) {
+                      return storage_bits(view.at(1 + kk, 2 + j));
+                    });
+        std::vector<float> ar(static_cast<std::size_t>(klen));
+        for (index_t kk = 0; kk < klen; ++kk)
+          ar[std::size_t(kk)] = 0.01f * float(kk) - 0.3f;
+        std::vector<float> cr_want(std::size_t(nlen), 2.0f),
+            cr_got(std::size_t(nlen), 2.0f);
+        f32.pack_b_ft(wview, 1, 2, klen, nlen, nr, ref.data(), ar.data(),
+                      cr_want.data());
+        mixed.pack_b_ft(view, 1, 2, klen, nlen, nr, got_ft.data(), ar.data(),
+                        cr_got.data());
+        const std::size_t extent =
+            std::size_t(mixed.b_index(panels * nr, 0, klen, nr));
+        EXPECT_EQ(std::memcmp(got.data(), got_ft.data(), extent * sizeof(S)), 0)
+            << "pack_b_ft panel must equal pack_b";
+        for (std::size_t j = 0; j < cr_want.size(); ++j) {
+          EXPECT_NEAR(cr_got[j], cr_want[j],
+                      1e-3 * std::max(1.0, std::abs(double(cr_want[j]))))
+              << "cr[" << j << "]";
+        }
+      }
+    }
+  }
+}
+
+template <typename S>
 void convert_on_pack_sweep(Isa isa) {
   const PackSet<S, float> mixed = get_pack_set<S, float>(isa);
+  if (mixed.narrow_panels) {
+    narrow_panel_sweep<S>(mixed, get_kernel_set<S, float>(isa));
+    return;
+  }
   const PackSet<float> f32 = get_pack_set<float>(Isa::kScalar);
   ASSERT_NE(mixed.pack_a, nullptr);
   ASSERT_NE(mixed.pack_a_ft, nullptr);
@@ -264,6 +405,20 @@ TEST(MixedPackDispatch, KernelSetReusesComputeTypeMicroKernels) {
   for (const Isa isa : executable_isas()) {
     const KernelSet<bf16_t, float> mixed = get_kernel_set<bf16_t, float>(isa);
     const KernelSet<float> f32 = get_kernel_set<float>(isa);
+    if (mixed.pack.narrow_panels) {
+      // The AMX tier multiplies bf16 panels in tile registers: whole-block
+      // kernels instead of fp32 micro-kernels, its own tile shape, and the
+      // C-side checksum pass still shared with fp32.
+      EXPECT_TRUE(cpu_features().amx_bf16);
+      EXPECT_EQ(mixed.base, nullptr);
+      EXPECT_EQ(mixed.ft, nullptr);
+      EXPECT_NE(mixed.macro_base, nullptr);
+      EXPECT_NE(mixed.macro_ft, nullptr);
+      EXPECT_EQ(mixed.mr % 16, 0);
+      EXPECT_EQ(mixed.nr % 16, 0);
+      EXPECT_EQ(mixed.pack.scale_encode_c, f32.pack.scale_encode_c);
+      continue;
+    }
     // Narrow storage never reaches a multiplier: the micro-kernels, register
     // tile, and FT epilogue lanes are the fp32 ones.
     EXPECT_EQ(mixed.base, f32.base);
