@@ -73,60 +73,28 @@ OperandKey make_operand_key(const S* a, index_t lda, bool trans, C alpha,
   return key;
 }
 
-/// Integrity sums over the packed bytes in one FIXED scalar order (panels in
-/// k order, tiles inner) — recomputing them is deterministic, so the
-/// CHECK_BEFORE comparison below is a bit-exact memcmp, no tolerance model.
-/// The zero padding of the ragged edge tile participates: a flip landing in
-/// padding is caught too (it would feed the micro-kernels just the same).
-/// `pk` is the plan's pack set (the int8 specialization sweeps with it).
+/// One rank-KC panel through the set's panel_sums.  The pointer type comes
+/// from the set: int8 sets read the biased u8 bytes their pack_a wrote.
+template <typename P, typename S, typename C>
+void panel_sums(void (*sums)(const P*, index_t, index_t, index_t, C*, C*),
+                const S* panel, index_t tiles, index_t klen, index_t mr,
+                C* rowsum, C* colsum) {
+  sums(reinterpret_cast<const P*>(panel), tiles, klen, mr, rowsum, colsum);
+}
+
+/// Integrity sums over the packed panels: the plan's pack set sweeps each
+/// rank-KC panel in its own fixed order, so recomputing them is
+/// deterministic and the CHECK_BEFORE comparison below is a bit-exact
+/// memcmp, no tolerance model.  Padding (edge-tile rows, the AMX and int8
+/// depth padding) participates: a flip landing there is caught too.
 template <typename S, typename C>
 void integrity_sums(const ResidentAPayload<S, C>& pl, const PackSet<S, C>& pk,
                     C* rowchk, C* colchk) {
   std::fill(rowchk, rowchk + pl.tiles * pl.mr, C(0));
   std::fill(colchk, colchk + pl.k, C(0));
   for (index_t p = 0; p < pl.k; p += pl.kc) {
-    const index_t pinc = std::min(pl.kc, pl.k - p);
-    // A set's own sweep (the AMX tier's depth-padded pair layout), else the
-    // portable loop over the MR-tile layout.
-    if (pk.panel_sums != nullptr) {
-      pk.panel_sums(pl.panel_at(p), pl.tiles, pinc, pl.mr, rowchk, colchk + p);
-      continue;
-    }
-    const S* base = pl.panel_at(p);
-    for (index_t q = 0; q < pl.tiles; ++q) {
-      const S* tile = base + q * (pl.mr * pinc);
-      C* rc = rowchk + q * pl.mr;
-      // One pass per tile (this runs on every verified cache hit — the
-      // payload is read exactly once): unit-stride row accumulation the
-      // compiler can vectorize, and column sums in a fixed 4-lane-partial
-      // order.  Any deterministic order works — fill and verify share this
-      // one function, so the bit-exact comparison only needs
-      // self-consistency — and the lane split breaks the serial FP
-      // dependence chain a naive reduction would pin the loop on.
-      // Narrow storage widens each element once (C(col[ii])); for uniform
-      // payloads the conversion is the identity and the code is unchanged.
-      for (index_t kk = 0; kk < pinc; ++kk) {
-        const S* col = tile + kk * pl.mr;
-        C s0 = C(0), s1 = C(0), s2 = C(0), s3 = C(0);
-        index_t ii = 0;
-        for (; ii + 4 <= pl.mr; ii += 4) {
-          rc[ii] += C(col[ii]);
-          rc[ii + 1] += C(col[ii + 1]);
-          rc[ii + 2] += C(col[ii + 2]);
-          rc[ii + 3] += C(col[ii + 3]);
-          s0 += C(col[ii]);
-          s1 += C(col[ii + 1]);
-          s2 += C(col[ii + 2]);
-          s3 += C(col[ii + 3]);
-        }
-        C s = (s0 + s1) + (s2 + s3);
-        for (; ii < pl.mr; ++ii) {
-          rc[ii] += C(col[ii]);
-          s += C(col[ii]);
-        }
-        colchk[p + kk] += s;
-      }
-    }
+    panel_sums(pk.panel_sums, pl.panel_at(p), pl.tiles,
+               std::min(pl.kc, pl.k - p), pl.mr, rowchk, colchk + p);
   }
 }
 
@@ -223,31 +191,17 @@ void fill_payload(ResidentAPayload<S, C>& pl, const S* a, index_t lda,
   integrity_sums(pl, pk, pl.rowchk.data(), pl.colchk.data());
 }
 
-/// int8 payloads break both generic encoders' assumptions — panels hold
+/// int8 payloads break the generic encoder's assumptions — panels hold
 /// *biased u8 bytes* in the depth-quad layout (kernels/kernel_int8.hpp), not
 /// ComputeT elements in [kk][mr] order, and the last panel is quad-padded
-/// beyond tiles*mr*k bytes when k % 4 != 0 — so they get their own
-/// specializations, and the per-panel sums run as the pack set's
-/// panel_sums sweep.  The integrity row sums ARE the executor's arow vector
+/// beyond tiles*mr*k bytes when k % 4 != 0 — so they get their own fill
+/// (integrity_sums is shared: the pack set's panel_sums sweeps the quad
+/// layout).  The integrity row sums ARE the executor's arow vector
 /// (per-packed-row u8 totals; quad padding is raw zero, contributing
 /// nothing), which is why the int8 hit path copies rowchk straight into
 /// ctx.arow() instead of re-deriving it.  Sums are exact integers: verify
 /// stays the bit-exact memcmp, and the Ar encode needs no per-thread
 /// partial-order emulation (integer addition is order-independent).
-template <>
-void integrity_sums<std::int8_t, std::int32_t>(
-    const ResidentAPayload<std::int8_t, std::int32_t>& pl,
-    const PackSet<std::int8_t, std::int32_t>& pk, std::int32_t* rowchk,
-    std::int32_t* colchk) {
-  std::fill(rowchk, rowchk + pl.tiles * pl.mr, std::int32_t(0));
-  std::fill(colchk, colchk + pl.k, std::int32_t(0));
-  for (index_t p = 0; p < pl.k; p += pl.kc) {
-    const index_t pinc = std::min(pl.kc, pl.k - p);
-    pk.panel_sums(reinterpret_cast<const std::uint8_t*>(pl.panel_at(p)),
-                  pl.tiles, pinc, pl.mr, rowchk, colchk + p);
-  }
-}
-
 template <>
 void fill_payload<std::int8_t, std::int32_t>(
     ResidentAPayload<std::int8_t, std::int32_t>& pl, const std::int8_t* a,
@@ -336,7 +290,7 @@ void OperandCache<S, C>::evict_to_caps_locked() {
   // Keep at least the most recent entry: a single payload above the byte
   // cap must still serve the call that just encoded it.  Slot::bytes is
   // immutable, so no slot mutex is taken here (hit processing holds the
-  // slot mutex and then the cache mutex for counters — never the reverse).
+  // slot mutex only; its counters are atomics).
   while (lru_.size() > 1 &&
          (lru_.size() > capacity_ || bytes_ > byte_capacity_)) {
     const Entry& victim = lru_.back();
@@ -439,17 +393,12 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
         bytes, payload->panels.size() * sizeof(S), parity);
     out.ecc_corrected = int(scrub.corrected + scrub.parity_fixed);
     ecc_uncorrectable = scrub.uncorrectable > 0;
-    if (out.ecc_corrected > 0 || ecc_uncorrectable) {
-      std::lock_guard<std::mutex> lk(m_);
-      ecc_corrected_ += scrub.corrected + scrub.parity_fixed;
-      ecc_detected_ += scrub.uncorrectable;
-    }
+    ecc_corrected_.fetch_add(scrub.corrected + scrub.parity_fixed,
+                             std::memory_order_relaxed);
+    ecc_detected_.fetch_add(scrub.uncorrectable, std::memory_order_relaxed);
   }
   if (payload && (verify || ecc_uncorrectable)) {
-    if (verify) {
-      std::lock_guard<std::mutex> lk(m_);
-      ++verifies_;
-    }
+    if (verify) verifies_.fetch_add(1, std::memory_order_relaxed);
     const bool ok =
         !ecc_uncorrectable &&
         (!verify || verify_payload(*payload, plan.kernels.pack));
@@ -463,8 +412,7 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
       slot->payload = fresh;
       payload = std::move(fresh);
       out.heals = 1;
-      std::lock_guard<std::mutex> lk(m_);
-      ++heals_;
+      heals_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   out.payload = std::move(payload);
@@ -485,10 +433,10 @@ OperandCacheStats OperandCache<S, C>::stats() {
   OperandCacheStats s;
   s.hits = hits_;
   s.misses = misses_;
-  s.verifies = verifies_;
-  s.heals = heals_;
-  s.ecc_corrected = ecc_corrected_;
-  s.ecc_detected = ecc_detected_;
+  s.verifies = verifies_.load(std::memory_order_relaxed);
+  s.heals = heals_.load(std::memory_order_relaxed);
+  s.ecc_corrected = ecc_corrected_.load(std::memory_order_relaxed);
+  s.ecc_detected = ecc_detected_.load(std::memory_order_relaxed);
   s.evictions = evictions_;
   s.entries = lru_.size();
   s.bytes = bytes_;

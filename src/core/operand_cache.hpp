@@ -16,11 +16,12 @@
 //
 // CHECK_BEFORE (after the MAGMA abft_dgemm idiom of persistent
 // dA_colchk/dA_rowchk buffers re-verified before consumption): every hit
-// recomputes the integrity sums in the same fixed scalar order they were
-// filled in and compares bit-exactly.  A mismatch means the resident bytes
-// were corrupted in memory — the cache re-encodes from the source operand
-// and swaps the healed payload in (self-healing), counting the heal in the
-// call's FtReport and the service's ServiceStats.  This extends the paper's
+// recomputes the integrity sums with the plan pack set's panel_sums — the
+// same fixed order they were filled in — and compares bit-exactly.  A
+// mismatch means the resident bytes were corrupted in memory — the cache
+// re-encodes from the source operand and swaps the healed payload in
+// (self-healing), counting the heal in the call's FtReport and the
+// service's ServiceStats.  This extends the paper's
 // compute-domain ABFT to the storage domain: a bit flip striking cached
 // weights is detected before it can poison a single result.
 //
@@ -121,9 +122,9 @@ struct ResidentAPayload {
   AlignedBuffer<StorageT> panels;
   AlignedBuffer<ComputeT> ar;  ///< operand row checksum, length k
   double amax_a = 0.0;
-  /// Integrity sums over the packed panels (fixed scalar order, accumulated
-  /// in ComputeT over the widened element values; see CHECK_BEFORE above):
-  /// per-packed-row and per-depth totals.
+  /// Integrity sums over the packed panels (the pack set's fixed order,
+  /// accumulated in ComputeT over the widened element values; see
+  /// CHECK_BEFORE above): per-packed-row and per-depth totals.
   AlignedBuffer<ComputeT> rowchk;  ///< length tiles*mr
   AlignedBuffer<ComputeT> colchk;  ///< length k
   /// SEC-DED parity, one byte per 64-bit word of the packed panel bytes
@@ -217,8 +218,8 @@ class OperandCache {
  private:
   /// One published entry; `payload` is swappable under `m` (heals — the
   /// replacement always has the same shape, so `bytes` is immutable and
-  /// readable without the slot mutex; the eviction sweep relies on that to
-  /// keep a single global lock order: slot mutex before cache mutex).
+  /// readable without the slot mutex; the eviction sweep relies on that, so
+  /// the cache mutex and a slot mutex are never held together).
   struct Slot {
     std::mutex m;
     std::shared_ptr<const Payload> payload;
@@ -238,11 +239,12 @@ class OperandCache {
   std::size_t bytes_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t verifies_ = 0;
-  std::uint64_t heals_ = 0;
-  std::uint64_t ecc_corrected_ = 0;
-  std::uint64_t ecc_detected_ = 0;
   std::uint64_t evictions_ = 0;
+  // Hit-path counters, bumped after the lookup without retaking m_.
+  std::atomic<std::uint64_t> verifies_{0};
+  std::atomic<std::uint64_t> heals_{0};
+  std::atomic<std::uint64_t> ecc_corrected_{0};
+  std::atomic<std::uint64_t> ecc_detected_{0};
   std::atomic<bool> ecc_{false};
 };
 

@@ -455,58 +455,60 @@ FTGEMM_TARGET_AVX512 double amx_encode_ar(const OperandView<bf16_t>& a,
 // ---------------------------------------------------------------------------
 
 /// PanelSumsFn over pair-layout panels: true row sums (both halves of every
-/// pair, depth padding included) and true depth sums, 16 pair rows per
-/// shuffle-tree reduction.
+/// pair, depth padding included) and true depth sums.  Blocks of eight pair
+/// rows stream every tile past sixteen register-resident depth sums (the
+/// even and odd half of each pair); a tile's rows ride in four lane sums
+/// per block; each block's depth sums leave through one shuffle tree.  The
+/// tile-inner order reads each tile's block as one contiguous run, so the
+/// sweep costs the split and the two adds per element, not the reduction.
 FTGEMM_TARGET_AVX512 void amx_panel_sums(const bf16_t* packed, index_t tiles,
                                          index_t klen, index_t mr,
                                          float* rowsum, float* colsum) {
+  constexpr index_t kPairs = 8;
   const auto* panel = reinterpret_cast<const std::uint16_t*>(packed);
   const index_t pairs = amx_depth(klen) / 2;
+  const index_t tile_len = mr * 2 * pairs;
   const __m512i hi_half = _mm512_set1_epi32(int(0xFFFF0000u));
-  // [E0, O0, E1, O1, ...]: even / odd depth sums back into depth order.
-  const __m512i even_odd_lo = _mm512_set_epi32(23, 7, 22, 6, 21, 5, 20, 4, 19,
-                                               3, 18, 2, 17, 1, 16, 0);
-  const __m512i even_odd_hi =
-      _mm512_add_epi32(even_odd_lo, _mm512_set1_epi32(8));
-  for (index_t q = 0; q < tiles; ++q, panel += mr * 2 * pairs) {
-    __m512 r0 = _mm512_setzero_ps(), r1 = _mm512_setzero_ps();
-    for (index_t p0 = 0; p0 < pairs; p0 += 16) {
-      __m512 even[16], odd[16];
-      for (index_t t = 0; t < 16; ++t) {
-        if (p0 + t >= pairs) {
-          even[t] = odd[t] = _mm512_setzero_ps();
-          continue;
-        }
-        const std::uint16_t* row = panel + (p0 + t) * 2 * mr;
+  // Sums [E0..E7, O0..O7] -> depth order [E0, O0, E1, O1, ...].
+  const __m512i depth_order = _mm512_set_epi32(15, 7, 14, 6, 13, 5, 12, 4, 11,
+                                               3, 10, 2, 9, 1, 8, 0);
+  for (index_t p0 = 0; p0 < pairs; p0 += kPairs) {
+    const index_t np = std::min(kPairs, pairs - p0);
+    __m512 sums[2 * kPairs];  // even half of pair t at [t], odd at [8 + t]
+    for (index_t t = 0; t < 2 * kPairs; ++t) sums[t] = _mm512_setzero_ps();
+    for (index_t q = 0; q < tiles; ++q) {
+      const std::uint16_t* blk = panel + q * tile_len + p0 * 2 * mr;
+      __m512 re0 = _mm512_setzero_ps(), ro0 = re0, re1 = re0, ro1 = re0;
+      for (index_t t = 0; t < kPairs; ++t) {
+        if (t == np) break;
+        const std::uint16_t* row = blk + t * 2 * mr;
         const __m512i v0 = _mm512_loadu_si512(row);
         const __m512i v1 = _mm512_loadu_si512(row + 32);
         const __m512 e0 = _mm512_castsi512_ps(_mm512_slli_epi32(v0, 16));
         const __m512 e1 = _mm512_castsi512_ps(_mm512_slli_epi32(v1, 16));
         const __m512 o0 = _mm512_castsi512_ps(_mm512_and_si512(v0, hi_half));
         const __m512 o1 = _mm512_castsi512_ps(_mm512_and_si512(v1, hi_half));
-        r0 = _mm512_add_ps(r0, _mm512_add_ps(e0, o0));
-        r1 = _mm512_add_ps(r1, _mm512_add_ps(e1, o1));
-        even[t] = _mm512_add_ps(e0, e1);
-        odd[t] = _mm512_add_ps(o0, o1);
+        re0 = _mm512_add_ps(re0, e0);
+        ro0 = _mm512_add_ps(ro0, o0);
+        re1 = _mm512_add_ps(re1, e1);
+        ro1 = _mm512_add_ps(ro1, o1);
+        sums[t] = _mm512_add_ps(sums[t], _mm512_add_ps(e0, e1));
+        sums[kPairs + t] =
+            _mm512_add_ps(sums[kPairs + t], _mm512_add_ps(o0, o1));
       }
-      const __m512 es = row_sums16(even), os = row_sums16(odd);
-      float* out = colsum + 2 * p0;
-      const index_t live = klen - 2 * p0;
-      const __mmask16 m0 = mask16(live), m1 = mask16(live - 16);
-      _mm512_mask_storeu_ps(
-          out, m0,
-          _mm512_add_ps(_mm512_maskz_loadu_ps(m0, out),
-                        _mm512_permutex2var_ps(es, even_odd_lo, os)));
-      if (live > 16) {
-        _mm512_mask_storeu_ps(
-            out + 16, m1,
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m1, out + 16),
-                          _mm512_permutex2var_ps(es, even_odd_hi, os)));
-      }
+      float* rs = rowsum + q * mr;
+      _mm512_storeu_ps(
+          rs, _mm512_add_ps(_mm512_loadu_ps(rs), _mm512_add_ps(re0, ro0)));
+      _mm512_storeu_ps(rs + 16, _mm512_add_ps(_mm512_loadu_ps(rs + 16),
+                                              _mm512_add_ps(re1, ro1)));
     }
-    float* rs = rowsum + q * mr;
-    _mm512_storeu_ps(rs, _mm512_add_ps(_mm512_loadu_ps(rs), r0));
-    _mm512_storeu_ps(rs + 16, _mm512_add_ps(_mm512_loadu_ps(rs + 16), r1));
+    // Pure depth-padding pairs have no colsum slot (row sums cover them).
+    const __mmask16 live = mask16(klen - 2 * p0);
+    float* out = colsum + 2 * p0;
+    _mm512_mask_storeu_ps(
+        out, live,
+        _mm512_add_ps(_mm512_maskz_loadu_ps(live, out),
+                      _mm512_permutexvar_ps(depth_order, row_sums16(sums))));
   }
 }
 

@@ -92,7 +92,8 @@ using I8MicroKernelFt = void (*)(index_t kc, const std::uint8_t* a,
 /// the portable reference of every member (kernel_int8_scalar.cpp);
 /// avx2_pack_i8() replaces each with a vector sweep over the same packed
 /// layout (pack_int8_avx2.cpp) — identical bytes and bit-identical sums, so
-/// every member is correct for every kernel ISA.
+/// every member is correct for every kernel ISA.  The VNNI kernel set swaps
+/// in a 16-row-tile panel_sums of its own (kernel_int8_avx512.cpp).
 template <>
 struct PackSet<std::int8_t, std::int32_t> {
   /// Pack op(A) rows [m0, m0+mlen) x depth [k0, k0+klen) into MR-tall

@@ -97,6 +97,104 @@ FTGEMM_TARGET_VNNI void kernel_i8_vnni_ft(index_t kc, const std::uint8_t* a,
   kernel_i8_vnni<true>(kc, a, b, c, ldc, cr_ref, cc_ref);
 }
 
+/// Sixteen i32 vectors -> one vector whose lane i is the sum of v[i]'s
+/// lanes (one shuffle tree instead of sixteen horizontal sums).
+FTGEMM_TARGET_VNNI inline __m512i lane_sums16(const __m512i v[16]) {
+  __m512i x[8];
+  for (int r = 0; r < 8; ++r) {
+    x[r] = _mm512_add_epi32(_mm512_unpacklo_epi32(v[2 * r], v[2 * r + 1]),
+                            _mm512_unpackhi_epi32(v[2 * r], v[2 * r + 1]));
+  }
+  __m512i y[4];
+  for (int r = 0; r < 4; ++r) {
+    y[r] = _mm512_add_epi32(_mm512_unpacklo_epi64(x[2 * r], x[2 * r + 1]),
+                            _mm512_unpackhi_epi64(x[2 * r], x[2 * r + 1]));
+  }
+  const __m512i z0 =
+      _mm512_add_epi32(_mm512_shuffle_i32x4(y[0], y[1], 0x88),
+                       _mm512_shuffle_i32x4(y[0], y[1], 0xDD));
+  const __m512i z1 =
+      _mm512_add_epi32(_mm512_shuffle_i32x4(y[2], y[3], 0x88),
+                       _mm512_shuffle_i32x4(y[2], y[3], 0xDD));
+  return _mm512_add_epi32(_mm512_shuffle_i32x4(z0, z1, 0x88),
+                          _mm512_shuffle_i32x4(z0, z1, 0xDD));
+}
+
+/// Integrity sums of a resident A~ panel of 16-row tiles (PanelSumsFn; one
+/// zmm per tile quad).  Blocks of eight quads stream every tile past
+/// register-resident column sums.  Rows: one vpdpbusd of the quad against
+/// ones (exact u8 sums in the row's i32 lane).  Columns: the quad's bytes
+/// accumulate as u16 lanes (low byte + 256 * high byte, wrapping) beside
+/// the high bytes alone, so the low-byte totals come back exactly as
+/// all - (high << 8) while every u16 total stays below 2^16 — the block
+/// folds at least every 256 tiles, through two shuffle trees that leave the
+/// block's 32 depth sums in depth order.  Exact integers: bit-identical to
+/// scalar_pack_i8.  Other tile heights take the AVX2 sweep.
+FTGEMM_TARGET_VNNI void panel_sums_i8_vnni(const std::uint8_t* packed,
+                                           index_t tiles, index_t klen,
+                                           index_t mr, std::int32_t* rowsum,
+                                           std::int32_t* colsum) {
+  if (mr != kMrAvx512I8) {
+    static const auto quad_sweep = avx2_pack_i8().panel_sums;
+    quad_sweep(packed, tiles, klen, mr, rowsum, colsum);
+    return;
+  }
+  constexpr index_t kQuads = 8;
+  constexpr index_t kQuadBytes = kMrAvx512I8 * kI8KQuad;
+  constexpr index_t kFoldTiles = 256;  // 256 * 255 < 2^16
+  const index_t kq = i8_kq(klen);
+  const index_t tile_bytes = kq * kQuadBytes;
+  const __m512i ones8 = _mm512_set1_epi8(1);
+  const __m512i low16 = _mm512_set1_epi32(0xFFFF);
+  for (index_t q0 = 0; q0 < kq; q0 += kQuads) {
+    const index_t nq = std::min(kQuads, kq - q0);
+    for (index_t t0 = 0; t0 < tiles; t0 += kFoldTiles) {
+      __m512i all[kQuads], high[kQuads];
+      for (index_t u = 0; u < kQuads; ++u)
+        all[u] = high[u] = _mm512_setzero_si512();
+      for (index_t tl = t0; tl < std::min(tiles, t0 + kFoldTiles); ++tl) {
+        const std::uint8_t* blk = packed + tl * tile_bytes + q0 * kQuadBytes;
+        __m512i r0 = _mm512_setzero_si512(), r1 = r0;
+        for (index_t u = 0; u < kQuads; ++u) {
+          if (u == nq) break;
+          const __m512i v = _mm512_loadu_si512(blk + u * kQuadBytes);
+          if (u % 2 == 0) {
+            r0 = _mm512_dpbusd_epi32(r0, v, ones8);
+          } else {
+            r1 = _mm512_dpbusd_epi32(r1, v, ones8);
+          }
+          all[u] = _mm512_add_epi16(all[u], v);
+          high[u] = _mm512_add_epi16(high[u], _mm512_srli_epi16(v, 8));
+        }
+        std::int32_t* rs = rowsum + tl * kMrAvx512I8;
+        _mm512_storeu_si512(rs, _mm512_add_epi32(_mm512_loadu_si512(rs),
+                                                 _mm512_add_epi32(r0, r1)));
+      }
+      // Per quad, the i32 lane of row i holds depths (0, 2) in `low` and
+      // (1, 3) in `high` as u16 halves; split them into depth order.
+      for (index_t h = 0; h < kQuads; h += 4) {
+        __m512i d[16];
+        for (index_t u = 0; u < 4; ++u) {
+          const __m512i lo = _mm512_sub_epi16(
+              all[h + u], _mm512_slli_epi16(high[h + u], 8));
+          d[4 * u + 0] = _mm512_and_si512(lo, low16);
+          d[4 * u + 1] = _mm512_and_si512(high[h + u], low16);
+          d[4 * u + 2] = _mm512_srli_epi32(lo, 16);
+          d[4 * u + 3] = _mm512_srli_epi32(high[h + u], 16);
+        }
+        const index_t kk0 = (q0 + h) * kI8KQuad;
+        const index_t live = std::min<index_t>(16, klen - kk0);
+        if (live <= 0) break;
+        const __mmask16 m = __mmask16((1u << live) - 1u);
+        std::int32_t* cs = colsum + kk0;
+        _mm512_mask_storeu_epi32(
+            cs, m,
+            _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, cs), lane_sums16(d)));
+      }
+    }
+  }
+}
+
 #undef FTGEMM_TARGET_VNNI
 
 }  // namespace
@@ -120,6 +218,7 @@ KernelSet<std::int8_t, std::int32_t> avx512_kernels_i8() {
   // Every AVX-512 machine has AVX2, so the accelerated FT checksum passes
   // are always usable here (identical packed bytes, bit-identical sums).
   ks.pack = avx2_pack_i8();
+  ks.pack.panel_sums = &panel_sums_i8_vnni;
   ks.pack.isa = Isa::kAvx512;
   return ks;
 }

@@ -183,8 +183,8 @@ using WidenAFn = void (*)(const StorageT* raw, index_t mlen, index_t klen,
 /// Integrity sums of one resident A~ panel of `tiles` MR-tall tiles over
 /// depth klen (the resident encode and every verify-on-hit):
 /// rowsum[r] += every packed element of row r, colsum[kk] += depth kk of
-/// every row (kk < klen).  Any fixed order will do — fill and verify share
-/// it and compare bit-exactly.
+/// every row (kk < klen), padding included.  Any fixed order will do — fill
+/// and verify share the plan's set and compare bit-exactly.
 template <typename StorageT, typename ComputeT>
 using PanelSumsFn = void (*)(const StorageT* packed, index_t tiles,
                              index_t klen, index_t mr, ComputeT* rowsum,
@@ -207,8 +207,9 @@ struct PackSet {
   /// cache (see operand_cache.hpp).
   PackARawFn<StorageT> pack_a_raw = nullptr;
   WidenAFn<StorageT, ComputeT> widen_a = nullptr;
-  /// SIMD integrity sums over this set's resident panel layout; null =
-  /// the portable loop in operand_cache.cpp.
+  /// Integrity sums over this set's resident panel layout (every set
+  /// carries one: the scalar sets the portable loop, the SIMD sets a
+  /// vector sweep at L2 speed).
   PanelSumsFn<StorageT, ComputeT> panel_sums = nullptr;
   Isa isa = Isa::kScalar;
   /// Layout maps of the packed A and B panels (see PanelIndexFn).

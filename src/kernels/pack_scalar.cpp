@@ -35,6 +35,7 @@ PackSet<S, C> make_scalar_pack() {
   p.encode_cc = &encode_cc_from_panel<C>;
   p.pack_a_raw = &pack_a_raw<S>;
   p.widen_a = &widen_a_panel<S, C>;
+  p.panel_sums = &panel_sums_mr_tile<S, C>;
   p.isa = Isa::kScalar;
   p.a_index = &mr_tile_index;
   p.b_index = &mr_tile_index;

@@ -35,6 +35,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "kernels/packing.hpp"
 
@@ -59,6 +60,20 @@ const PackSet<T>& scalar_pack() {
   static const PackSet<T> set = [] {
     if constexpr (sizeof(T) == 8) return scalar_pack_f64();
     else return scalar_pack_f32();
+  }();
+  return set;
+}
+
+/// Mixed scalar fallback set, by storage type (fp32 compute; see
+/// "Mixed-precision paths" below).  Reached through the flag-free
+/// accessors, never by instantiating the scalar templates in this TU.
+template <typename S>
+const PackSet<S, float>& scalar_pack_mixed() {
+  static const PackSet<S, float> set = [] {
+    if constexpr (kStorageDtypeTag<S> == kStorageDtypeTag<bf16_t>)
+      return scalar_pack_bf16();
+    else
+      return scalar_pack_f16();
   }();
   return set;
 }
@@ -882,6 +897,121 @@ double reduce_bc_disp(const typename TR::T* b_packed, index_t klen,
                             amax_in);
 }
 
+// ---------------------------------------------------------------------------
+// Resident integrity sums (PanelSumsFn) over the MR-tile layout, shared by
+// the uniform sets (loads through TR itself) and the mixed sets (narrow raw
+// payloads widened through their LD loader).  A tile's depth column is mr
+// contiguous elements, so every load lands whole in one of G = mr / W row
+// lane groups: no masks at any ragged m or k, and the zero padding rows of
+// the edge tile are summed like live ones.
+// ---------------------------------------------------------------------------
+
+/// The identity loader: uniform panels already hold ComputeT elements.
+template <class TR>
+struct SameLoad {
+  using S = typename TR::T;
+  static typename TR::Vec loadu(const S* p) { return TR::loadu(p); }
+};
+
+/// One block of KB depth columns across every tile.  The KB column sums
+/// stay in registers for the whole block (the tiles stream past them), the
+/// row sums in two phases per tile (a column pair per step); one horizontal
+/// sum per column at the end.  The tile-inner order reads each tile's block
+/// as one contiguous run and stores no partial inside the loop: a
+/// tile-outer order carrying the column partials in memory ran ~1.4x
+/// slower.
+template <class TR, class LD, index_t G, index_t KB>
+void panel_sums_block(const typename LD::S* packed, index_t tiles,
+                      index_t klen, index_t kk0, typename TR::T* rowsum,
+                      typename TR::T* colsum) {
+  using Vec = typename TR::Vec;
+  constexpr index_t W = TR::W;
+  constexpr index_t mr = G * W;
+  constexpr index_t P = KB > 1 ? 2 : 1;  // columns per step = row phases
+  static_assert(KB % P == 0, "column pairs must tile the block");
+  Vec cols[KB];
+  for (index_t u = 0; u < KB; ++u) cols[u] = TR::zero();
+  for (index_t q = 0; q < tiles; ++q) {
+    const typename LD::S* blk = packed + q * (mr * klen) + kk0 * mr;
+    Vec rows[P][G];
+    for (index_t p = 0; p < P; ++p) {
+      for (index_t g = 0; g < G; ++g) rows[p][g] = TR::zero();
+    }
+    for (index_t u = 0; u < KB; u += P) {
+      Vec v[P][G];
+      for (index_t p = 0; p < P; ++p) {
+        for (index_t g = 0; g < G; ++g)
+          v[p][g] = LD::loadu(blk + (u + p) * mr + g * W);
+      }
+      for (index_t p = 0; p < P; ++p) {
+        Vec c = v[p][0];
+        for (index_t g = 0; g < G; ++g) {
+          rows[p][g] = TR::add(rows[p][g], v[p][g]);
+          if (g > 0) c = TR::add(c, v[p][g]);
+        }
+        cols[u + p] = TR::add(cols[u + p], c);
+      }
+    }
+    typename TR::T* rs = rowsum + q * mr;
+    for (index_t g = 0; g < G; ++g) {
+      Vec r = rows[0][g];
+      for (index_t p = 1; p < P; ++p) r = TR::add(r, rows[p][g]);
+      TR::storeu(rs + g * W, TR::add(TR::loadu(rs + g * W), r));
+    }
+  }
+  for (index_t u = 0; u < KB; ++u) colsum[kk0 + u] += TR::hsum(cols[u]);
+}
+
+/// One read of the panel in blocks of KB columns (16 with the 32 AVX-512
+/// registers, 8 with AVX2's 16), the ragged depth tail one column at a
+/// time.  Every order is fixed: fill and verify agree bit for bit.
+template <class TR, class LD, index_t G>
+void panel_sums_tiles(const typename LD::S* packed, index_t tiles,
+                      index_t klen, typename TR::T* rowsum,
+                      typename TR::T* colsum) {
+  constexpr index_t KB = sizeof(typename TR::Vec) == 64 ? 16 : 8;
+  index_t kk0 = 0;
+  for (; kk0 + KB <= klen; kk0 += KB) {
+    panel_sums_block<TR, LD, G, KB>(packed, tiles, klen, kk0, rowsum, colsum);
+  }
+  for (; kk0 < klen; ++kk0) {
+    panel_sums_block<TR, LD, G, 1>(packed, tiles, klen, kk0, rowsum, colsum);
+  }
+}
+
+/// PanelSumsFn of every MR-tile SIMD set: tiles of one to four vectors
+/// sweep at vector width, any other tile height takes the portable loop
+/// (fixed per plan, so fill and verify always pick the same one).
+template <class TR, class LD>
+void panel_sums_disp(const typename LD::S* packed, index_t tiles,
+                     index_t klen, index_t mr, typename TR::T* rowsum,
+                     typename TR::T* colsum) {
+  constexpr index_t W = TR::W;
+  switch (mr % W == 0 ? mr / W : 0) {
+    case 1:
+      panel_sums_tiles<TR, LD, 1>(packed, tiles, klen, rowsum, colsum);
+      break;
+    case 2:
+      panel_sums_tiles<TR, LD, 2>(packed, tiles, klen, rowsum, colsum);
+      break;
+    case 3:
+      panel_sums_tiles<TR, LD, 3>(packed, tiles, klen, rowsum, colsum);
+      break;
+    case 4:
+      panel_sums_tiles<TR, LD, 4>(packed, tiles, klen, rowsum, colsum);
+      break;
+    default:
+      if constexpr (std::is_same_v<typename LD::S, typename TR::T>) {
+        scalar_pack<typename TR::T>().panel_sums(packed, tiles, klen, mr,
+                                                 rowsum, colsum);
+      } else {
+        scalar_pack_mixed<typename LD::S>().panel_sums(packed, tiles, klen,
+                                                       mr, rowsum, colsum);
+      }
+      break;
+  }
+}
+
 /// Assemble the PackSet for one traits class.  The encode sweeps need no
 /// dispatch wrapper (no tile-geometry gate), so their _simd implementations
 /// are bound directly.
@@ -898,6 +1028,7 @@ PackSet<typename TR::T> make_simd_pack(Isa isa) {
   p.encode_cc = &encode_cc_disp<TR>;
   p.pack_a_raw = scalar_pack<typename TR::T>().pack_a_raw;
   p.widen_a = scalar_pack<typename TR::T>().widen_a;
+  p.panel_sums = &panel_sums_disp<TR, SameLoad<TR>>;
   p.isa = isa;
   p.a_index = &mr_tile_index;
   p.b_index = &mr_tile_index;
@@ -926,20 +1057,6 @@ PackSet<typename TR::T> make_simd_pack(Isa isa) {
 // scalar_pack_bf16()/scalar_pack_f16() function pointers, same rule as the
 // uniform-type engine.
 // ===========================================================================
-
-/// Mixed scalar fallback set, by storage type (fp32 compute).  Reached
-/// through the flag-free accessors, never by instantiating the scalar
-/// templates in this TU.
-template <typename S>
-const PackSet<S, float>& scalar_pack_mixed() {
-  static const PackSet<S, float> set = [] {
-    if constexpr (kStorageDtypeTag<S> == kStorageDtypeTag<bf16_t>)
-      return scalar_pack_bf16();
-    else
-      return scalar_pack_f16();
-  }();
-  return set;
-}
 
 /// Trans pack_a, mixed: widen-load 8 storage rows, fp32 8x8 transpose tiles
 /// — the exact structure of pack_a_panel_trans(float).  Full tile:
@@ -1359,6 +1476,7 @@ PackSet<typename LD::S, float> make_mixed_pack(Isa isa) {
   p.encode_cc = &encode_cc_disp<TR>;
   p.pack_a_raw = scalar_pack_mixed<typename LD::S>().pack_a_raw;
   p.widen_a = &widen_a_mixed<TR, LD>;
+  p.panel_sums = &panel_sums_disp<TR, LD>;
   p.isa = isa;
   p.a_index = &mr_tile_index;
   p.b_index = &mr_tile_index;

@@ -244,6 +244,47 @@ void encode_cc_from_panel(const T* __restrict__ packed, bool /*trans*/,
   }
 }
 
+/// Integrity sums of one resident MR-tile panel (PanelSumsFn; the scalar
+/// sets' resident encode and verify-on-hit): rowsum[q*mr + ii] += every
+/// element of packed row ii of tile q, colsum[kk] += depth kk of every
+/// packed row.  The zero padding of the ragged edge tile participates: a
+/// flip landing in padding is caught too (it would feed the micro-kernels
+/// just the same).  One pass per tile reads the panel exactly once:
+/// unit-stride row accumulation the compiler can vectorize, and column sums
+/// in a fixed 4-lane-partial order that breaks the serial FP dependence
+/// chain a naive reduction would pin the loop on.  Narrow storage widens
+/// each element once (C(col[ii])).
+template <typename S, typename C>
+void panel_sums_mr_tile(const S* __restrict__ packed, index_t tiles,
+                        index_t klen, index_t mr, C* __restrict__ rowsum,
+                        C* __restrict__ colsum) {
+  for (index_t q = 0; q < tiles; ++q) {
+    const S* tile = packed + q * (mr * klen);
+    C* rc = rowsum + q * mr;
+    for (index_t kk = 0; kk < klen; ++kk) {
+      const S* col = tile + kk * mr;
+      C s0 = C(0), s1 = C(0), s2 = C(0), s3 = C(0);
+      index_t ii = 0;
+      for (; ii + 4 <= mr; ii += 4) {
+        rc[ii] += C(col[ii]);
+        rc[ii + 1] += C(col[ii + 1]);
+        rc[ii + 2] += C(col[ii + 2]);
+        rc[ii + 3] += C(col[ii + 3]);
+        s0 += C(col[ii]);
+        s1 += C(col[ii + 1]);
+        s2 += C(col[ii + 2]);
+        s3 += C(col[ii + 3]);
+      }
+      C s = (s0 + s1) + (s2 + s3);
+      for (; ii < mr; ++ii) {
+        rc[ii] += C(col[ii]);
+        s += C(col[ii]);
+      }
+      colsum[kk] += s;
+    }
+  }
+}
+
 /// Derive the panel column checksum Bc[kk] = sum_j B_p(kk, j) for
 /// kk in [kk0, kk0+kklen) from the packed (zero-padded) panel itself, and
 /// fold the running amax of |B| (needed by the tolerance model) into the

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -791,6 +792,32 @@ TEST(ShardedDifferential, BitIdenticalAcrossShardCountsAndHints) {
   }
 }
 
+/// Holds every call that carries it at begin_call until open(): the shard
+/// executing such a call stays busy for exactly as long as a test needs.
+/// Plans no corruption, so the gated call's bits are those of an ungated
+/// one.
+class GateInjector : public FaultInjector {
+ public:
+  void begin_call(std::int64_t, std::int64_t, std::int64_t, int) override {
+    std::unique_lock<std::mutex> lk(m_);
+    cv_.wait(lk, [&] { return open_; });
+  }
+  void plan_block(const BlockContext&, std::vector<InjectionRecord>&) override {
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 /// Work stealing must preserve both batching and bits: a loaded shard's
 /// coalescable run is stolen as a WHOLE group, merges into one batched
 /// call on the thief, and every result equals its synchronous twin.
@@ -805,10 +832,13 @@ TEST(WorkStealing, StolenGroupsStayCoalescedAndBitIdentical) {
 
   Options opts;
   opts.threads = 1;
-  // Two heavyweights at kHigh keep whichever dispatcher grabs one busy for
-  // tens of milliseconds — longer than a scheduler timeslice even on a
-  // single hardware thread — so the idle shard is guaranteed CPU for a
-  // steal pass while shard 0's queue is still loaded.
+  // Two heavyweights at kHigh go first, and each is held at a gate until
+  // the service has counted a steal: whichever dispatcher grabs one stays
+  // busy while shard 0's queue is still loaded, however late the idle
+  // shard gets CPU for its steal pass.
+  GateInjector gate;
+  Options gated = opts;
+  gated.injector = &gate;
   const GemmCase heavy{512, 512, 512};
   const GemmCase small{48, 40, 64};
   const int kSmall = 6;
@@ -837,7 +867,7 @@ TEST(WorkStealing, StolenGroupsStayCoalescedAndBitIdentical) {
         heavy.k, heavy.alpha, hp[std::size_t(r)].a.data(),
         hp[std::size_t(r)].a.ld(), hp[std::size_t(r)].b.data(),
         hp[std::size_t(r)].b.ld(), heavy.beta, h_async[std::size_t(r)].data(),
-        h_async[std::size_t(r)].ld(), opts, Priority::kHigh);
+        h_async[std::size_t(r)].ld(), gated, Priority::kHigh);
     req.shard_hint = 0;
     heavy_futs.push_back(service.submit(req));
   }
@@ -853,6 +883,16 @@ TEST(WorkStealing, StolenGroupsStayCoalescedAndBitIdentical) {
   }
   EXPECT_EQ(service.queue_depth(), std::size_t(2 + kSmall));
   service.resume();
+  // Release the gate once a steal is counted (or after a bound long past
+  // any scheduling delay, so a service that never steals fails the
+  // assertions below instead of hanging the suite).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (service.stats().steals == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.open();
 
   for (int r = 0; r < 2; ++r) {
     const GemmResult res = heavy_futs[std::size_t(r)].wait();
